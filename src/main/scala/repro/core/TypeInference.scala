@@ -24,14 +24,15 @@ object TypeInference {
     */
   def parseDate(s: String): Option[Double] = s match {
     case null => None
-    case IsoDate(y, m, d)   => Some(y.toInt * 372.0 + (m.toInt - 1) * 31 + (d.toInt - 1))
-    case SlashDate(d, m, y) =>
-      val yy = if (y.length == 2) 2000 + y.toInt else y.toInt
-      if (m.toInt >= 1 && m.toInt <= 12 && d.toInt >= 1 && d.toInt <= 31)
-        Some(yy * 372.0 + (m.toInt - 1) * 31 + (d.toInt - 1))
-      else None
+    case IsoDate(y, m, d)   => dayNumber(y.toInt, m.toInt, d.toInt)
+    case SlashDate(d, m, y) => dayNumber(if (y.length == 2) 2000 + y.toInt else y.toInt, m.toInt, d.toInt)
     case _ => None
   }
+
+  /** Month 1–12 and day 1–31 map to a timestamp; anything else is no date. */
+  private def dayNumber(y: Int, m: Int, d: Int): Option[Double] =
+    if (m >= 1 && m <= 12 && d >= 1 && d <= 31) Some(y * 372.0 + (m - 1) * 31 + (d - 1))
+    else None
 
   def parseLong(s: String): Option[Long] =
     if (s == null) None

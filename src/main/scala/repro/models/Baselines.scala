@@ -65,7 +65,7 @@ case class ValueModelFeaturizer(
     val views = RepCache.getOrCompute(
       RepCache.corpusKey(tables) + s"/views-$name", {
         val b = budget
-        tables.values.toSeq.par2Map(t => t.id -> ValueFeaturizer.view(t, b)).toMap
+        Parallel.map(tables.values.toSeq)(t => t.id -> ValueFeaturizer.view(t, b)).toMap
       })
     (a, b) => {
       val (va, vb) = (views(a), views(b))
@@ -74,11 +74,6 @@ case class ValueModelFeaturizer(
       val n = if (useNumeric) ValueFeaturizer.numericFeatures(va, vb) else Array.empty[Double]
       h ++ v ++ n
     }
-  }
-
-  implicit private class ParOps[T](xs: Seq[T]) {
-    /** Thread-pooled map — view building is pure CPU on the driver. */
-    def par2Map[U](f: T => U): Seq[U] = Parallel.map(xs)(f)
   }
 }
 
@@ -107,10 +102,20 @@ case class FrozenFeaturizer(name: String, budget: ValueFeaturizer.Budget, seed: 
   }
 }
 
-/** Small fixed thread pool for driver-side pure-CPU maps. */
+/** Small fixed thread pool for driver-side pure-CPU maps. Its threads are
+  * daemons, so an idle pool never keeps the JVM alive after `main` returns.
+  */
 object Parallel {
-  private val pool = java.util.concurrent.Executors.newFixedThreadPool(
-    math.max(2, Runtime.getRuntime.availableProcessors() - 1))
+  private val pool = {
+    val made = new java.util.concurrent.atomic.AtomicInteger
+    java.util.concurrent.Executors.newFixedThreadPool(
+      math.max(2, Runtime.getRuntime.availableProcessors() - 1),
+      (r: Runnable) => {
+        val t = new Thread(r, s"repro-parallel-${made.incrementAndGet()}")
+        t.setDaemon(true)
+        t
+      })
+  }
 
   def map[T, U](xs: Seq[T])(f: T => U): Seq[U] = {
     import scala.jdk.CollectionConverters._

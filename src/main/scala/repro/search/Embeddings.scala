@@ -1,6 +1,6 @@
 package repro.search
 
-import repro.core.{ColumnSketch, MinHash, TableSketch, Tokenizer}
+import repro.core.{ColumnSketch, MinHash, TableSketch, TableSketcher, Tokenizer}
 import repro.lake.LakeTable
 import repro.nn.RandomProjection
 
@@ -93,7 +93,7 @@ object Embeddings {
   def table(s: TableSketch, t: LakeTable, withValues: Boolean = true): Array[Double] = {
     val ctx  = tableContext(s)
     val cols = s.columns.map(c => column(c, t.column(c.position).filter(_ != null), ctx, withValues))
-    val dim  = cols.head.length
+    val dim  = cols.headOption.fold(columnDim)(_.length)
     val mean = new Array[Double](dim)
     cols.foreach { e => var i = 0; while (i < dim) { mean(i) += e(i) / cols.size; i += 1 } }
     val content = signBlock(s.contentMinHash, MinHash.DefaultK, weight = 0.3)
@@ -101,9 +101,19 @@ object Embeddings {
     l2(l2(mean) ++ content ++ headers)
   }
 
+  /** Length of a column embedding; a zero-column table's mean block is
+    * this many zeros.
+    */
+  private lazy val columnDim: Int =
+    column(TableSketcher.sketchColumn("", 0, Seq.empty), Seq.empty).length
+
+  /** Dot product over the common prefix, summed in index order; the
+    * cosine of two unit-norm embeddings.
+    */
   def cosine(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0; var i = 0
-    while (i < a.length) { s += a(i) * b(i); i += 1 }
+    val n = math.min(a.length, b.length)
+    while (i < n) { s += a(i) * b(i); i += 1 }
     s
   }
 }

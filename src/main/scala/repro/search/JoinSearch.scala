@@ -1,8 +1,8 @@
 package repro.search
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 
 import repro.core.{MinHash, TableSketch}
 import repro.lake.LakeTable
@@ -14,9 +14,10 @@ import repro.lakebench.WikiLake
   * value-overlapping.
   *
   * Methods:
-  *  - TabSketchFM: nearest-neighbor join over contextual column embeddings
-  *    (sketches + value embedding), computed as a Spark DataFrame
-  *    cross-join + window ranking over Parquet-persisted embeddings.
+  *  - TabSketchFM: nearest-neighbor search over contextual column
+  *    embeddings (sketches + value embedding), computed as one scan of the
+  *    Parquet-persisted embedding index with a per-partition top-k merged
+  *    on the driver.
   *  - LSHForest-lite: MinHash band candidates ranked by estimated Jaccard.
   *  - JOSIE-lite: exact value-overlap ranking (set containment search).
   *  - EmbedJoin: value-embedding cosine only (WarpGate stand-in).
@@ -26,7 +27,7 @@ object JoinSearch {
   case class ColumnEmb(tableId: String, colIdx: Int, emb: Array[Double])
 
   /** Build, persist to Parquet, and reload the embedding table — search
-    * then runs as a DataFrame self-join over the Parquet data.
+    * then runs as one scan over the Parquet data.
     */
   def embeddingsDf(spark: SparkSession, sketches: Map[String, TableSketch],
                    tables: Map[String, LakeTable], path: String): DataFrame = {
@@ -41,35 +42,53 @@ object JoinSearch {
     spark.read.parquet(path)
   }
 
-  private val dot = udf { (a: Seq[Double], b: Seq[Double]) =>
-    var s = 0.0; var i = 0
-    val n = math.min(a.length, b.length)
-    while (i < n) { s += a(i) * b(i); i += 1 }
-    s
-  }
-
   /** Top-k joinable tables per query (queries are (tableId, colIdx) of the
-    * entity columns): NN join of query embeddings against all lake column
-    * embeddings, max-scored per candidate table, ranked by window.
+    * entity columns). One scan of the embedding index scores every lake
+    * column against the query vectors, keeps each candidate table's best
+    * score, and emits each partition's top-k per query; the driver merges
+    * the partitions' lists by max. The merge is exact: a table missing from
+    * a partition's top-k is beaten there by k tables that score at least
+    * as high. Ranking is by score descending, then table id ascending.
     */
   def searchEmbeddings(spark: SparkSession, emb: DataFrame,
                        queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
     import spark.implicits._
-    val queryDf = queries.toDF("qTable", "qCol")
-    val q = emb.join(queryDf, emb("tableId") === queryDf("qTable") && emb("colIdx") === queryDf("qCol"))
-      .select($"qTable", $"emb" as "qEmb")
-    val scored = q.crossJoin(emb.select($"tableId" as "cTable", $"emb" as "cEmb"))
-      .where($"qTable" =!= $"cTable")
-      .withColumn("score", dot($"qEmb", $"cEmb"))
-      .groupBy($"qTable", $"cTable").agg(max($"score") as "score")
-    val ranked = scored
-      .withColumn("rank", row_number().over(Window.partitionBy($"qTable").orderBy(desc("score"), asc("cTable"))))
-      .where($"rank" <= k)
-    ranked.collect()
-      .groupBy(_.getAs[String]("qTable"))
-      .view.mapValues(_.sortBy(_.getAs[Int]("rank")).map(_.getAs[String]("cTable")).toSeq)
-      .toMap
+    val wanted = queries.toSet
+    val qVecs: Array[(String, Array[Array[Double]])] =
+      emb.where($"tableId".isin(queries.map(_._1).distinct: _*)).as[ColumnEmb].collect()
+        .filter(c => wanted((c.tableId, c.colIdx)))
+        .groupBy(_.tableId).map { case (t, cs) => t -> cs.map(_.emb) }.toArray
+    val partial = emb.as[ColumnEmb].mapPartitions { cols =>
+      val best = qVecs.map(_ => mutable.HashMap.empty[String, Double])
+      cols.foreach { c =>
+        qVecs.indices.foreach { qi =>
+          val (qTable, vecs) = qVecs(qi)
+          if (c.tableId != qTable) vecs.foreach(v => keepMax(best(qi), c.tableId, Embeddings.cosine(v, c.emb)))
+        }
+      }
+      qVecs.indices.iterator.flatMap(qi => topK(best(qi), k).map { case (t, s) => (qVecs(qi)._1, t, s) })
+    }.collect()
+    partial.groupBy(_._1).map { case (qTable, rows) =>
+      val best = mutable.HashMap.empty[String, Double]
+      rows.foreach { case (_, t, s) => keepMax(best, t, s) }
+      qTable -> topK(best, k).map(_._1)
+    }
   }
+
+  /** Spark SQL's order on doubles, so ties and NaN rank as a DataFrame
+    * sort would: -0.0 equals 0.0 and NaN is the largest value.
+    */
+  private def compareScores(a: Double, b: Double): Int =
+    if (a == b) 0 else java.lang.Double.compare(a, b)
+
+  private def keepMax(best: mutable.Map[String, Double], table: String, score: Double): Unit =
+    if (best.get(table).forall(compareScores(score, _) > 0)) best(table) = score
+
+  private def topK(best: collection.Map[String, Double], k: Int): Seq[(String, Double)] =
+    best.toSeq.sortWith { case ((ta, sa), (tb, sb)) =>
+      val c = compareScores(sa, sb)
+      c > 0 || (c == 0 && ta < tb)
+    }.take(k)
 
   /** JOSIE-lite: rank candidate tables by exact max value overlap of any
     * column with the query column (overlap set similarity search).

@@ -45,6 +45,9 @@ class TypeInferenceSpec extends AnyFunSuite {
     assert(parseDate("2020-03-28").isDefined)
     assert(parseDate("28/03/23").isDefined)
     assert(parseDate("28/13/23").isEmpty) // month 13
+    assert(parseDate("2020-13-01").isEmpty) // month 13
+    assert(parseDate("2020-01-45").isEmpty) // day 45
+    assert(parseDate("2020-12-31").isDefined)
     assert(parseDate("hello").isEmpty)
     assert(parseDate(null).isEmpty)
   }

@@ -72,6 +72,14 @@ class EmbeddingsSpec extends AnyFunSuite {
     assert(Embeddings.cosine(emb(a), emb(b)) > Embeddings.cosine(emb(a), emb(c)))
   }
 
+  test("a zero-column table embeds to the usual length") {
+    val empty = LakeTable("e", "", Seq.empty, Seq.empty)
+    val t = LakeTable("c", "", Seq("city"), (1 to 10).map(i => Seq(s"c$i")))
+    val e = Embeddings.table(TableSketcher.sketch(empty), empty)
+    assert(e.length == Embeddings.table(TableSketcher.sketch(t), t).length)
+    assert(e.forall(v => !v.isNaN))
+  }
+
   test("withValues=false zeroes the value block but keeps dimensions") {
     val t = LakeTable("c", "", Seq("city"), (1 to 10).map(i => Seq(s"c$i")))
     val s = TableSketcher.sketch(t)

@@ -1,5 +1,7 @@
 package repro.search
 
+import org.apache.spark.sql.functions.{col, lit}
+
 import repro.SparkSpec
 import repro.core.TableSketcher
 import repro.lakebench.WikiLake
@@ -47,6 +49,49 @@ class SearchSpec extends SparkSpec {
       assert(ranked.size <= 5)
       assert(!ranked.contains(q), "query must not retrieve itself")
     }
+  }
+
+  /** Brute-force reference: every query vector against every lake column
+    * on the driver, max per candidate table, ranked by score descending,
+    * then table id ascending.
+    */
+  private def bruteForce(cols: Seq[JoinSearch.ColumnEmb], queries: Seq[(String, Int)],
+                         k: Int): Map[String, Seq[String]] = {
+    def dot(a: Array[Double], b: Array[Double]): Double = {
+      var s = 0.0
+      for (i <- 0 until math.min(a.length, b.length)) s += a(i) * b(i)
+      s
+    }
+    val byKey = cols.map(c => (c.tableId, c.colIdx) -> c.emb).toMap
+    queries.filter(byKey.contains).groupBy(_._1).map { case (qt, qs) =>
+      val scored = cols.filter(_.tableId != qt).groupBy(_.tableId).toSeq.map { case (ct, cs) =>
+        ct -> (for (q <- qs; c <- cs) yield dot(byKey(q), c.emb)).max
+      }
+      qt -> scored.sortBy { case (id, s) => (-s, id) }.take(k).map(_._1)
+    }
+  }
+
+  test("embedding search equals a brute-force scan across partitions, ties and edge queries") {
+    val dir = java.nio.file.Files.createTempDirectory("emb-oracle").toString
+    val base = JoinSearch.embeddingsDf(spark, sketches, tables, dir)
+    val twin = lake.tables(9).table.id
+    // An exact copy of one table under a new id: every query ties on the pair.
+    val emb = base.union(base.where(col("tableId") === twin).withColumn("tableId", lit(s"$twin-copy")))
+      .repartition(7).cache()
+    import spark.implicits._
+    val cols = emb.as[JoinSearch.ColumnEmb].collect().toSeq
+    val lakeSize = cols.map(_.tableId).distinct.size
+    val qs = queries.take(4) ++ Seq(("no-such-table", 0), (queries.head._1, 1))
+    val all = Seq(1, 5, lakeSize + 3).map { k =>
+      val got = JoinSearch.searchEmbeddings(spark, emb, qs, k)
+      assert(got == bruteForce(cols, qs, k), s"k=$k")
+      assert(!got.contains("no-such-table"))
+      got
+    }.last
+    assert(all(queries.head._1).size == lakeSize - 1)
+    val ranked = all(queries(1)._1)
+    assert(ranked.indexOf(s"$twin-copy") == ranked.indexOf(twin) + 1, "tie broken by table id")
+    emb.unpersist()
   }
 
   test("embedding search beats value-overlap baselines on sensible-join GT") {
