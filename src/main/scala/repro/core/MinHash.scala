@@ -1,37 +1,67 @@
 package repro.core
 
-import scala.util.hashing.MurmurHash3
-
 /** MinHash signatures — the repo's substitute for the datasketch library
   * used by the paper (§3, sketch 2 and the content snapshot).
   *
   * A signature is ``k`` slots; slot ``i`` holds the minimum of hash
-  * function ``h_i`` over the element set. Hash ``h_i`` is murmur3 with a
-  * per-slot seed, widened to a positive Long. Signatures of an empty set
-  * are all ``MinHash.Empty`` and estimate 0 similarity against anything.
+  * function ``h_i`` over the element set. Hash ``h_i`` is Scala's
+  * `MurmurHash3.stringHash` with seed ``0x9747b28c + i``, widened to a
+  * non-negative Long. Signatures of an empty set are all ``MinHash.Empty``
+  * and estimate 0 similarity against anything.
+  *
+  * murmur3 scrambles each 2-char block the same way whatever the seed, so
+  * [[signature]] scrambles an element's blocks once and then advances all
+  * ``k`` seeds together through the mixing steps. That costs about one
+  * murmur3 pass per element plus a few integer operations per (block,
+  * slot), and gives exactly the bits of ``k`` separate `stringHash` calls.
+  * An instance is shared across threads; every buffer is per call.
   */
 final class MinHash(val k: Int) extends Serializable {
   require(k > 0, s"k must be positive, got $k")
 
-  private def h(elem: String, i: Int): Long =
-    (MurmurHash3.stringHash(elem, 0x9747b28c + i).toLong & 0xffffffffL)
-
-  /** Signature of a set of string elements. */
+  /** Signature of a set of string elements; null elements are skipped. */
   def signature(elems: Iterable[String]): Array[Long] = {
-    val sig = Array.fill(k)(MinHash.Empty)
-    val it  = elems.iterator
+    import MinHash._
+    val lanes = new Array[Int](k)
+    // Per-slot minima as unsigned Ints with the sign bit flipped, so a
+    // signed min orders them as the widened Longs would.
+    val mins   = Array.fill(k)(Int.MaxValue)
+    var blocks = new Array[Int](16)
+    var seen   = false
+    val it = elems.iterator
     while (it.hasNext) {
       val e = it.next()
       if (e != null) {
+        seen = true
+        val len = e.length
+        val nBlocks = len >> 1
+        if (blocks.length < nBlocks) blocks = new Array[Int](nBlocks)
+        var b = 0
+        while (b < nBlocks) { blocks(b) = scramble((e.charAt(2 * b) << 16) + e.charAt(2 * b + 1)); b += 1 }
         var i = 0
+        while (i < k) { lanes(i) = SeedBase + i; i += 1 }
+        // murmur3's per-block mix, all slots at once.
+        b = 0
+        while (b < nBlocks) {
+          val kb = blocks(b)
+          i = 0
+          while (i < k) { lanes(i) = Integer.rotateLeft(lanes(i) ^ kb, 13) * 5 + 0xe6546b64; i += 1 }
+          b += 1
+        }
+        // The odd tail char and the length are both xor-ed in before the
+        // avalanche, so they fold into one value.
+        val last = (if ((len & 1) != 0) scramble(e.charAt(len - 1)) else 0) ^ len
+        i = 0
         while (i < k) {
-          val v = h(e, i)
-          if (v < sig(i)) sig(i) = v
+          var h = lanes(i) ^ last
+          h ^= h >>> 16; h *= 0x85ebca6b; h ^= h >>> 13; h *= 0xc2b2ae35; h ^= h >>> 16
+          mins(i) = math.min(mins(i), h ^ Int.MinValue)
           i += 1
         }
       }
     }
-    sig
+    // Every element sets every slot, so the slots are all Empty or none is.
+    Array.tabulate(k)(i => if (seen) (mins(i) ^ Int.MinValue).toLong & 0xffffffffL else Empty)
   }
 }
 
@@ -46,6 +76,12 @@ object MinHash {
   val DefaultK = 64
 
   def apply(k: Int = DefaultK): MinHash = new MinHash(k)
+
+  /** murmur3 seed of slot 0; slot ``i`` uses ``SeedBase + i``. */
+  private val SeedBase = 0x9747b28c
+
+  /** murmur3's seed-independent block scramble. */
+  private def scramble(block: Int): Int = Integer.rotateLeft(block * 0xcc9e2d51, 15) * 0x1b873593
 
   def isEmpty(sig: Array[Long]): Boolean = sig.length == 0 || sig(0) == Empty
 

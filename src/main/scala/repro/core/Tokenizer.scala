@@ -1,15 +1,25 @@
 package repro.core
 
+import java.util.regex.Pattern
+
 /** Lowercasing word tokenizer — the repo's stand-in for the BERT-uncased
-  * tokenizer. Splits on any non-alphanumeric rune and lowercases, so
-  * "Reference Area" -> ["reference", "area"] and "AT130" -> ["at130"].
+  * tokenizer. Lowercases (default locale), then splits on every run of
+  * characters other than ASCII letters and digits, so "Reference Area" ->
+  * ["reference", "area"] and "AT130" -> ["at130"].
+  *
+  * ``\p{Alnum}`` is ASCII-only in Java regexes, so non-ASCII letters split
+  * words: "Café Crème" -> ["caf", "cr", "me"]. Lowercasing runs first, so a
+  * character that lowercases to ASCII joins a word: the Kelvin sign U+212A
+  * becomes "k".
   */
 object Tokenizer {
+
+  private val Separators = Pattern.compile("[^\\p{Alnum}]+")
 
   /** Tokenize one string; null-safe (null -> no tokens). */
   def tokenize(s: String): Seq[String] =
     if (s == null) Seq.empty
-    else s.toLowerCase.split("[^\\p{Alnum}]+").iterator.filter(_.nonEmpty).toSeq
+    else Separators.split(s.toLowerCase, 0).iterator.filter(_.nonEmpty).toSeq
 
   /** Tokenize many strings into one flat token sequence. */
   def tokenizeAll(ss: Iterable[String]): Seq[String] =

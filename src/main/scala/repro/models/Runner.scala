@@ -7,7 +7,7 @@ import repro.nn.{Metrics, Mlp}
 
 /** Train/eval harness for one (featurizer, benchmark) pair: featurize the
   * three splits, train the MLP head with early stopping on the validation
-  * split (paper §6: patience-based convergence), and compute the paper's
+  * split (patience 20, see [[repro.nn.Mlp.Config]]), and compute the paper's
   * metric on test — weighted F1 for classification, R² for regression.
   */
 object Runner {

@@ -14,9 +14,19 @@ import scala.util.hashing.MurmurHash3
   * the behavioural property those frozen models contribute.
   */
 final class RandomProjection(val dim: Int, val buckets: Int, seed: Long) extends Serializable {
-  private val proj: Array[Array[Double]] = {
+  /** The Gaussian matrix, bucket-major: entry (d, b) is at ``b * dim + d``.
+    * Drawn row by row (d outer, b inner), so the seed fixes every entry.
+    */
+  private val proj: Array[Double] = {
     val rng = new scala.util.Random(seed)
-    Array.fill(dim, buckets)(rng.nextGaussian() / math.sqrt(dim))
+    val m = new Array[Double](buckets * dim)
+    var d = 0
+    while (d < dim) {
+      var b = 0
+      while (b < buckets) { m(b * dim + d) = rng.nextGaussian() / math.sqrt(dim); b += 1 }
+      d += 1
+    }
+    m
   }
 
   private def bucket(token: String): Int =
@@ -36,16 +46,21 @@ final class RandomProjection(val dim: Int, val buckets: Int, seed: Long) extends
     project(counts)
   }
 
+  /** ``out(d) = Σ_b proj(d, b) · counts(b)`` summed in ascending ``b``,
+    * over the nonzero buckets only. A skipped term is ±0.0, and a sum that
+    * starts at +0.0 is never −0.0, so skipping leaves every bit unchanged.
+    */
   private def project(counts: Array[Double]): Array[Double] = {
     val out = new Array[Double](dim)
-    var d = 0
-    while (d < dim) {
-      var s = 0.0
-      val row = proj(d)
-      var b = 0
-      while (b < buckets) { s += row(b) * counts(b); b += 1 }
-      out(d) = s
-      d += 1
+    var b = 0
+    while (b < buckets) {
+      val c = counts(b)
+      if (c != 0.0) {
+        val base = b * dim
+        var d = 0
+        while (d < dim) { out(d) += proj(base + d) * c; d += 1 }
+      }
+      b += 1
     }
     val norm = math.sqrt(out.map(v => v * v).sum)
     if (norm > 0) { var i = 0; while (i < dim) { out(i) /= norm; i += 1 } }

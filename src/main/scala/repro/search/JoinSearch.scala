@@ -129,12 +129,12 @@ object JoinSearch {
 
   /** EmbedJoin (WarpGate stand-in): value-embedding cosine only. */
   def searchEmbedJoin(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val embs: Map[String, Seq[Array[Double]]] = tables.map { case (id, t) =>
+    val embs: Map[String, Seq[Array[Double]]] = repro.models.Parallel.map(tables.toSeq) { case (id, t) =>
       id -> t.columnNames.indices.map { i =>
         Embeddings.valueEmbedder.embed(
           t.column(i).filter(_ != null).take(100).flatMap(repro.core.Tokenizer.tokenize))
       }
-    }
+    }.toMap
     queries.map { case (qt, qc) =>
       val q = embs(qt)(qc)
       val ranked = tables.keys.filter(_ != qt).map { cand =>

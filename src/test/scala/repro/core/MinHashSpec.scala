@@ -1,6 +1,11 @@
 package repro.core
 
+import scala.util.hashing.MurmurHash3
+
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+
+import repro.PropCheck
 
 class MinHashSpec extends AnyFunSuite {
 
@@ -102,5 +107,29 @@ class MinHashSpec extends AnyFunSuite {
 
   test("k must be positive") {
     assertThrows[IllegalArgumentException](MinHash(0))
+  }
+
+  /** Slot i as k separate murmur3 passes: the minimum over the non-null
+    * elements of `stringHash(e, 0x9747b28c + i)` widened to a Long.
+    */
+  private def referenceSignature(k: Int, elems: Seq[String]): Array[Long] =
+    Array.tabulate(k) { i =>
+      elems.filter(_ != null)
+        .map(e => MurmurHash3.stringHash(e, 0x9747b28c + i).toLong & 0xffffffffL)
+        .minOption.getOrElse(MinHash.Empty)
+    }
+
+  test("signature equals per-slot murmur3 bit for bit (arbitrary strings, nulls)") {
+    val elems = Gen.listOf(Gen.frequency(9 -> PropCheck.awkwardString, 1 -> Gen.const(null: String)))
+    PropCheck.check(Prop.forAllNoShrink(Gen.oneOf(1, 3, 64, 128), elems) { (k, es) =>
+      MinHash(k).signature(es).sameElements(referenceSignature(k, es))
+    })
+  }
+
+  test("signature equals per-slot murmur3 on long strings and sets") {
+    val rng = new scala.util.Random(4)
+    val es = Seq.fill(500)(rng.nextString(rng.nextInt(300)))
+    assert(mh.signature(es).sameElements(referenceSignature(64, es)))
+    assert(mh.signature(Seq("", "a", "ab", "abc")).sameElements(referenceSignature(64, Seq("", "a", "ab", "abc"))))
   }
 }

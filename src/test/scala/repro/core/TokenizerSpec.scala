@@ -1,6 +1,9 @@
 package repro.core
 
+import org.scalacheck.Prop
 import org.scalatest.funsuite.AnyFunSuite
+
+import repro.PropCheck
 
 class TokenizerSpec extends AnyFunSuite {
 
@@ -69,5 +72,16 @@ class TokenizerSpec extends AnyFunSuite {
       assert(Tokenizer.jaccard(a, b) == Tokenizer.jaccard(b, a))
       assert(Tokenizer.jaccard(a, b) <= 1.0)
     }
+  }
+
+  test("non-ASCII letters split words; characters that lowercase to ASCII join them") {
+    assert(Tokenizer.tokenize("Café Crème") == Seq("caf", "cr", "me"))
+    assert(Tokenizer.tokenize("\u212Aelvin") == Seq("kelvin"))
+  }
+
+  test("tokenize equals lowercasing and String.split on non-alphanumerics") {
+    PropCheck.check(Prop.forAllNoShrink(PropCheck.awkwardString) { s =>
+      Tokenizer.tokenize(s) == s.toLowerCase.split("[^\\p{Alnum}]+").filter(_.nonEmpty).toSeq
+    })
   }
 }

@@ -1,6 +1,12 @@
 package repro.nn
 
+import scala.util.hashing.MurmurHash3
+
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+
+import repro.PropCheck
+import repro.core.Tokenizer
 
 class RandomProjectionSpec extends AnyFunSuite {
 
@@ -34,5 +40,53 @@ class RandomProjectionSpec extends AnyFunSuite {
   test("cosine of an embedding with itself is 1") {
     val e = rp.embed(Seq("p", "q"))
     assert(math.abs(rp.cosine(e, e) - 1.0) < 1e-9)
+  }
+
+  /** The dense row-major product: the matrix drawn as `fill(dim, buckets)`,
+    * every bucket summed in ascending order, then L2-normalized.
+    */
+  private def referenceEmbed(dim: Int, buckets: Int, seed: Long, bag: Seq[(String, Int)]): Array[Double] = {
+    val rng = new scala.util.Random(seed)
+    val m = Array.fill(dim, buckets)(rng.nextGaussian() / math.sqrt(dim))
+    val counts = new Array[Double](buckets)
+    bag.foreach { case (t, c) => counts(math.floorMod(MurmurHash3.stringHash(t, 0x51ab2e17), buckets)) += c.toDouble }
+    val out = Array.tabulate(dim) { d =>
+      var s = 0.0
+      var b = 0
+      while (b < buckets) { s += m(d)(b) * counts(b); b += 1 }
+      s
+    }
+    val norm = math.sqrt(out.map(v => v * v).sum)
+    if (norm > 0) out.map(_ / norm) else out
+  }
+
+  private def rawBits(v: Array[Double]): Seq[Long] = v.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private val shapes = Seq((24, 256, 5L), (48, 512, 4242L), (7, 3, 11L))
+
+  test("embed and embedCounts equal the dense product bit for bit") {
+    val token = Gen.frequency(3 -> Gen.oneOf("a", "b", "c", "dd", "e1"), 1 -> PropCheck.awkwardString)
+    PropCheck.check(Prop.forAllNoShrink(Gen.oneOf(shapes), Gen.listOf(token)) { case ((dim, buckets, seed), toks) =>
+      val rp = new RandomProjection(dim, buckets, seed)
+      val want = rawBits(referenceEmbed(dim, buckets, seed, toks.map(_ -> 1)))
+      rawBits(rp.embed(toks)) == want && rawBits(rp.embedCounts(Tokenizer.bag(toks))) == want
+    })
+  }
+
+  test("embedCounts equals the dense product for counts above 1 and colliding tokens") {
+    val rp = new RandomProjection(24, 256, seed = 5)
+    def bucket(t: String) = math.floorMod(MurmurHash3.stringHash(t, 0x51ab2e17), 256)
+    val colliding = (0 until 2000).map(i => s"t$i").groupBy(bucket).values.find(_.size >= 2).get.take(2)
+    assert(bucket(colliding(0)) == bucket(colliding(1)))
+    val bags = Seq(
+      Map.empty[String, Int],
+      Map("x" -> 3, "y" -> 1, "z" -> 7),
+      Map(colliding(0) -> 2, colliding(1) -> 5),
+      Map(colliding(0) -> 1, colliding(1) -> 1, "w" -> 4),
+    )
+    bags.foreach { bag =>
+      assert(rawBits(rp.embedCounts(bag)) == rawBits(referenceEmbed(24, 256, 5, bag.toSeq)), s"bag $bag")
+    }
+    assert(rawBits(rp.embed(Seq.empty)) == rawBits(referenceEmbed(24, 256, 5, Seq.empty)))
   }
 }
