@@ -4,7 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Pins the exact bits of trained `Mlp` predictions, so any rewrite of the
   * forward pass or the training loop must keep every floating-point
-  * operation in the same order.
+  * operation in the same order. The sigmoid and the loss call `math.exp`
+  * and `math.log`, whose last bit may differ between JVM builds; the bits
+  * were taken on OpenJDK 17 on x86-64.
   */
 class MlpBitsSpec extends AnyFunSuite {
 
