@@ -98,4 +98,8 @@ object TableSketcher {
     import spark.implicits._
     spark.createDataset(tables).map(sketch _)
   }
+
+  /** The sketches of a corpus, collected to the driver by table id. */
+  def sketchCorpus(spark: SparkSession, tables: Map[String, LakeTable]): Map[String, TableSketch] =
+    sketchAll(spark, tables.values.toSeq).collect().map(s => s.tableId -> s).toMap
 }

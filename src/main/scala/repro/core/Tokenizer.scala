@@ -21,10 +21,6 @@ object Tokenizer {
     if (s == null) Seq.empty
     else Separators.split(s.toLowerCase, 0).iterator.filter(_.nonEmpty).toSeq
 
-  /** Tokenize many strings into one flat token sequence. */
-  def tokenizeAll(ss: Iterable[String]): Seq[String] =
-    ss.iterator.flatMap(tokenize).toSeq
-
   /** Bag (multiset) of tokens with counts; the unit of "mean-pooled"
     * value summaries used by the value-based baseline analogues.
     */

@@ -28,9 +28,7 @@ object Kb {
   /** An entity: label + numeric property values (by property id). */
   case class Entity(label: String, classIdx: Int, values: Map[String, String])
 
-  case class Graph(classes: Seq[KbClass], entities: Seq[Seq[Entity]]) {
-    def entityLabels(classIdx: Int): Seq[String] = entities(classIdx).map(_.label)
-  }
+  case class Graph(classes: Seq[KbClass], entities: Seq[Seq[Entity]])
 
   private val SyllablePool = Vector(
     "ka", "ro", "ve", "li", "mo", "sa", "tu", "ne", "pi", "do", "ha", "zu",

@@ -1,7 +1,5 @@
 package repro.lake
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-
 /** One data-lake table: cells are strings (null = missing), exactly what a
   * CSV in a CKAN/Socrata-style lake gives you. All benchmark generators
   * produce these; sketching consumes them.
@@ -22,34 +20,4 @@ case class LakeTable(
 
   /** Column-major view; null cells preserved. */
   def column(i: Int): Seq[String] = rows.map(_(i))
-}
-
-/** One cell of a table in long format — the Parquet lake layout over which
-  * the distributed sketch aggregation runs.
-  */
-case class LakeCell(tableId: String, colIdx: Int, colName: String, rowIdx: Long, value: String)
-
-object LakeTable {
-
-  /** Explode tables into the long-format cell layout. */
-  def toCells(spark: SparkSession, tables: Seq[LakeTable]): Dataset[LakeCell] = {
-    import spark.implicits._
-    val cells = tables.flatMap { t =>
-      t.rows.iterator.zipWithIndex.flatMap { case (row, r) =>
-        row.iterator.zipWithIndex.map { case (v, c) =>
-          LakeCell(t.id, c, t.columnNames(c), r.toLong, v)
-        }
-      }
-    }
-    spark.createDataset(cells)
-  }
-
-  /** Persist a lake to Parquet in cell layout and read it back — the search
-    * benches go through this path so sketches are computed over Parquet.
-    */
-  def writeParquet(spark: SparkSession, tables: Seq[LakeTable], path: String): Unit =
-    toCells(spark, tables).write.mode("overwrite").parquet(path)
-
-  def readCells(spark: SparkSession, path: String): DataFrame =
-    spark.read.parquet(path)
 }

@@ -1,5 +1,8 @@
 package repro.models
 
+import java.util.concurrent.{ConcurrentHashMap, ConcurrentMap}
+
+import com.google.common.collect.MapMaker
 import org.apache.spark.sql.SparkSession
 
 import repro.core.TableSketcher
@@ -20,15 +23,18 @@ trait PairFeaturizer {
 
 /** Corpus-keyed representation caches (benchmarks over the same lake —
   * e.g. the three Wiki tasks — share sketches/views within a JVM run).
+  * The key is the corpus instance itself, compared by reference and held
+  * weakly: two live corpora never share an entry, and a corpus that is no
+  * longer reachable takes its representations with it.
   */
 object RepCache {
-  private val cache = new java.util.concurrent.ConcurrentHashMap[String, AnyRef]()
+  private val byCorpus: ConcurrentMap[Map[String, LakeTable], ConcurrentHashMap[String, AnyRef]] =
+    new MapMaker().weakKeys().makeMap()
 
-  def getOrCompute[T <: AnyRef](key: String, compute: => T): T =
-    cache.computeIfAbsent(key, _ => compute).asInstanceOf[T]
-
-  def corpusKey(tables: Map[String, LakeTable]): String =
-    s"corpus@${System.identityHashCode(tables)}"
+  /** The representation ``kind`` of ``tables``, computed on first use. */
+  def getOrCompute[T <: AnyRef](tables: Map[String, LakeTable], kind: String)(compute: => T): T =
+    byCorpus.computeIfAbsent(tables, _ => new ConcurrentHashMap[String, AnyRef]())
+      .computeIfAbsent(kind, _ => compute).asInstanceOf[T]
 }
 
 /** TabSketchFM (ours): features from the paper's three sketch families,
@@ -40,11 +46,7 @@ case class SketchFeaturizer(mask: SketchMask = SketchMask.all, label: String = "
   def name: String = label
 
   def prepare(spark: SparkSession, tables: Map[String, LakeTable]): (String, String) => Array[Double] = {
-    val sketches = RepCache.getOrCompute(
-      RepCache.corpusKey(tables) + "/sketches", {
-        TableSketcher.sketchAll(spark, tables.values.toSeq).collect()
-          .map(s => s.tableId -> s).toMap
-      })
+    val sketches = RepCache.getOrCompute(tables, "sketches")(TableSketcher.sketchCorpus(spark, tables))
     (a, b) => TabSketchFm.features(sketches(a), sketches(b), mask)
   }
 }
@@ -62,11 +64,10 @@ case class ValueModelFeaturizer(
 ) extends PairFeaturizer {
 
   def prepare(spark: SparkSession, tables: Map[String, LakeTable]): (String, String) => Array[Double] = {
-    val views = RepCache.getOrCompute(
-      RepCache.corpusKey(tables) + s"/views-$name", {
-        val b = budget
-        Parallel.map(tables.values.toSeq)(t => t.id -> ValueFeaturizer.view(t, b)).toMap
-      })
+    val views = RepCache.getOrCompute(tables, s"views-$name") {
+      val b = budget
+      Parallel.map(tables.values.toSeq)(t => t.id -> ValueFeaturizer.view(t, b)).toMap
+    }
     (a, b) => {
       val (va, vb) = (views(a), views(b))
       val h = ValueFeaturizer.headerFeatures(va, vb)
@@ -89,15 +90,14 @@ case class FrozenFeaturizer(name: String, budget: ValueFeaturizer.Budget, seed: 
     // Few buckets -> heavy hash collisions: a frozen encoder's lossy,
     // task-agnostic view of the serialized table.
     val rp = new RandomProjection(dim, 96, seed)
-    val embs = RepCache.getOrCompute(
-      RepCache.corpusKey(tables) + s"/frozen-$name", {
-        val b = budget
-        Parallel.map(tables.values.toSeq) { t =>
-          val v = ValueFeaturizer.view(t, b)
-          val toks = v.tableBag.iterator.flatMap { case (tok, c) => Iterator.fill(math.min(c, 8))(tok) }.toSeq
-          t.id -> rp.embed(toks ++ v.allHeaderTokens)
-        }.toMap
-      })
+    val embs = RepCache.getOrCompute(tables, s"frozen-$name") {
+      val b = budget
+      Parallel.map(tables.values.toSeq) { t =>
+        val v = ValueFeaturizer.view(t, b)
+        val toks = v.tableBag.iterator.flatMap { case (tok, c) => Iterator.fill(math.min(c, 8))(tok) }.toSeq
+        t.id -> rp.embed(toks ++ v.header.allTokens)
+      }.toMap
+    }
     (a, b) => embs(a) ++ embs(b)
   }
 }

@@ -28,57 +28,20 @@ object SketchMask {
   */
 object TabSketchFm {
 
-  /** Per-shared-column-name slots: tasks like ECB Join hinge on *which*
-    * identically-named columns agree (the cross-encoder sees both tables'
-    * column tokens side by side, so it can represent this; a fixed-length
-    * featurization needs explicit slots for it). Shared names are taken in
-    * sorted order, so slot semantics are stable across a benchmark whose
-    * tables draw headers from a common vocabulary (ECB dimensions, CKAN
-    * schemas); corpora without shared headers (Wiki) leave the slots zero.
-    */
-  val SharedSlots = 32
+  import PairFeatures._
 
-  val HeaderDim: Int  = 6 + SharedSlots  // + shared-name indicators
+  val HeaderDim: Int  = PairFeatures.HeaderDim
   val MinhashDim: Int = 12 + SharedSlots // + per-shared-name value jaccard
   val NumDim: Int     = 12 + SharedSlots // + per-shared-name mean agreement
   val ContentDim      = 3
   val Dim: Int        = HeaderDim + MinhashDim + NumDim + ContentDim
 
-  /** Shared column names, each hashed to a stable slot so "the FREQ slot"
-    * means the same thing in every pair of a benchmark (required for the
-    * multi-label ECB Join head to key outputs off specific dimensions).
-    */
-  private def sharedNames(a: TableSketch, b: TableSketch): Seq[String] = {
-    val na = a.columns.map(_.name.toLowerCase).toSet
-    val nb = b.columns.map(_.name.toLowerCase).toSet
-    na.intersect(nb).toSeq.sorted
-  }
-
-  private def slotOf(name: String): Int =
-    math.floorMod(scala.util.hashing.MurmurHash3.stringHash(name, 0x7e55), SharedSlots)
+  private def header(t: TableSketch): Header =
+    Header(t.columns.map(_.name.toLowerCase), t.columns.map(c => Tokenizer.tokenize(c.name).toSet),
+           Tokenizer.tokenize(t.description).toSet, t.rowCount, t.columns.size)
 
   private def colByName(t: TableSketch, name: String): ColumnSketch =
     t.columns.find(_.name.toLowerCase == name).get
-
-  private def safeDiv(a: Double, b: Double): Double = if (b == 0) 0.0 else a / b
-
-  private def headerFeatures(a: TableSketch, b: TableSketch, shared: Seq[String]): Array[Double] = {
-    val tokA = a.columns.flatMap(c => Tokenizer.tokenize(c.name)).toSet
-    val tokB = b.columns.flatMap(c => Tokenizer.tokenize(c.name)).toSet
-    def colSets(t: TableSketch) = t.columns.map(c => Tokenizer.tokenize(c.name).toSet)
-    val csA = colSets(a); val csB = colSets(b)
-    val best = csA.map(sa => if (csB.isEmpty) 0.0 else csB.map(sb => Tokenizer.jaccard(sa, sb)).max)
-    val slots = new Array[Double](SharedSlots)
-    shared.foreach(n => slots(slotOf(n)) = 1.0)
-    Array(
-      Tokenizer.jaccard(tokA, tokB),
-      if (best.isEmpty) 0.0 else best.max,
-      if (best.isEmpty) 0.0 else best.sum / best.size,
-      safeDiv(math.min(a.columns.size, b.columns.size).toDouble, math.max(a.columns.size, b.columns.size).toDouble),
-      Tokenizer.jaccard(Tokenizer.tokenize(a.description).toSet, Tokenizer.tokenize(b.description).toSet),
-      math.abs(math.log((a.rowCount + 1.0) / (b.rowCount + 1.0))),
-    ) ++ slots
-  }
 
   /** Best-match MinHash statistics from A's columns into B's. */
   private def minhashDirected(a: TableSketch, b: TableSketch): (Seq[Double], Seq[Double], Seq[Double]) = {
@@ -228,8 +191,9 @@ object TabSketchFm {
     * retrained per mask, so zeros are inert inputs).
     */
   def features(a: TableSketch, b: TableSketch, mask: SketchMask = SketchMask.all): Array[Double] = {
-    val shared = sharedNames(a, b)
-    val h = headerFeatures(a, b, shared)
+    val (ha, hb) = (header(a), header(b))
+    val shared = sharedNames(ha, hb)
+    val h = headerFeatures(ha, hb)
     val m = if (mask.minhash) minhashFeatures(a, b, shared) else new Array[Double](MinhashDim)
     val n = if (mask.numerical) numericalFeatures(a, b, shared) else new Array[Double](NumDim)
     val c = if (mask.content) contentFeatures(a, b) else new Array[Double](ContentDim)

@@ -11,17 +11,12 @@ import repro.nn.RandomProjection
   * 512-token serialization; TABBIE the first 30 rows × 20 columns.
   */
 case class ValueView(
-    colNames: Seq[String],
-    headerTokenSets: Seq[Set[String]],
-    allHeaderTokens: Set[String],
-    descTokens: Set[String],
+    header: Header,               // header of the visible columns; row and column counts of the whole table
     colBags: Seq[Map[String, Int]],
     tableBag: Map[String, Int],
     colEmbs: Seq[Array[Double]],  // JL-projected per-column bag embeddings
     tableEmb: Array[Double],      // JL-projected whole-table bag embedding
     colStats: Seq[Array[Double]], // [mean, min, max] over visible parsed numerics; NaN when none
-    rowCount: Long,
-    nCols: Int,
 )
 
 /** The fixed "encoder geometry" for value-based baselines: one shared
@@ -35,6 +30,7 @@ object ColumnEmbedder {
 }
 
 object ValueFeaturizer {
+  import PairFeatures._
 
   /** Input budget of one baseline. ``maxTokens`` caps the row-major
     * serialization (headers first, as the models do); 0 = no token cap.
@@ -119,44 +115,21 @@ object ValueFeaturizer {
       if (vs.isEmpty) Array(Double.NaN, Double.NaN, Double.NaN)
       else Array(vs.sum / vs.size, vs.min, vs.max)
     }
-    ValueView((0 until cols).map(i => t.columnNames(i).toLowerCase),
-              headerTokenSets, headerTokenSets.flatten.toSet, descTokens,
+    ValueView(Header((0 until cols).map(i => t.columnNames(i).toLowerCase), headerTokenSets, descTokens,
+                     t.numRows.toLong, t.numCols),
               colBags, tableBag,
               colBags.map(ColumnEmbedder.embedCounts), ColumnEmbedder.embedCounts(tableBag),
-              colStats, t.numRows.toLong, t.numCols)
+              colStats)
   }
 
-  private def safeDiv(a: Double, b: Double): Double = if (b == 0) 0.0 else a / b
-
-  /** Same stable hashed shared-name slots as the sketch model (see
-    * [[TabSketchFm.SharedSlots]]) — a finetuned encoder sees both headers,
-    * so its analogue gets the per-shared-name signal too.
+  /** The header block of [[PairFeatures]]: a finetuned encoder sees both
+    * headers, so its analogue gets the same header and shared-name signal
+    * as the sketch model.
     */
-  val SharedSlots = 32
+  def headerFeatures(a: ValueView, b: ValueView): Array[Double] =
+    PairFeatures.headerFeatures(a.header, b.header)
 
-  private def slotOf(name: String): Int =
-    math.floorMod(scala.util.hashing.MurmurHash3.stringHash(name, 0x7e55), SharedSlots)
-
-  def sharedNames(a: ValueView, b: ValueView): Seq[String] =
-    a.colNames.toSet.intersect(b.colNames.toSet).toSeq.sorted
-
-  def headerFeatures(a: ValueView, b: ValueView): Array[Double] = {
-    val best = a.headerTokenSets.map(sa =>
-      if (b.headerTokenSets.isEmpty) 0.0 else b.headerTokenSets.map(sb => Tokenizer.jaccard(sa, sb)).max)
-    val slots = new Array[Double](SharedSlots)
-    sharedNames(a, b).foreach(n => slots(slotOf(n)) = 1.0)
-    Array(
-      Tokenizer.jaccard(a.allHeaderTokens, b.allHeaderTokens),
-      if (best.isEmpty) 0.0 else best.max,
-      if (best.isEmpty) 0.0 else best.sum / best.size,
-      safeDiv(math.min(a.nCols, b.nCols).toDouble, math.max(1, math.max(a.nCols, b.nCols)).toDouble),
-      Tokenizer.jaccard(a.descTokens, b.descTokens),
-      math.abs(math.log((a.rowCount + 1.0) / (b.rowCount + 1.0))),
-    ) ++ slots
-  }
-
-  val HeaderDim: Int = 6 + SharedSlots
-  val ValueDim: Int  = 6 + SharedSlots
+  val ValueDim: Int = 6 + SharedSlots
   val NumDim         = 3
 
   /** Mean-pooled value-similarity features: cosines between JL-projected
@@ -173,8 +146,8 @@ object ValueFeaturizer {
     val cos = directed(a, b) ++ directed(b, a)
     val top3 = if (cos.isEmpty) 0.0 else { val t = cos.sorted.reverse.take(3); t.sum / t.size }
     val slots = new Array[Double](SharedSlots)
-    sharedNames(a, b).foreach { n =>
-      val (ia, ib) = (a.colNames.indexOf(n), b.colNames.indexOf(n))
+    sharedNames(a.header, b.header).foreach { n =>
+      val (ia, ib) = (a.header.names.indexOf(n), b.header.names.indexOf(n))
       if (ia >= 0 && ib >= 0) {
         val c = ColumnEmbedder.cosine(a.colEmbs(ia), b.colEmbs(ib))
         val s = slotOf(n)

@@ -25,8 +25,7 @@ object SearchReport {
   def joinSearch(spark: SparkSession, nQueries: Int = 40): (Seq[String], Map[String, Seq[Double]]) = {
     val lake    = LakeBenchSuite.wikiLake
     val tables  = lake.lakeTables
-    val sketches = TableSketcher.sketchAll(spark, tables.values.toSeq).collect()
-      .map(s => s.tableId -> s).toMap
+    val sketches = TableSketcher.sketchCorpus(spark, tables)
     val rng = new scala.util.Random(17)
     val queries = rng.shuffle(lake.tables.filter(t => JoinSearch.relevant(lake, t.table.id).nonEmpty))
       .take(nQueries).map(t => (t.table.id, 0))
@@ -57,8 +56,7 @@ object SearchReport {
   def unionSearch(spark: SparkSession, nQueries: Int = 40): (Seq[String], Map[String, Seq[Double]]) = {
     val bench  = LakeBenchSuite.tusSantos
     val tables = bench.tables
-    val sketches = TableSketcher.sketchAll(spark, tables.values.toSeq).collect()
-      .map(s => s.tableId -> s).toMap
+    val sketches = TableSketcher.sketchCorpus(spark, tables)
     def domain(id: String) = id.takeWhile(_ != '_')
     def relevant(q: String): Set[String] = tables.keys.filter(t => t != q && domain(t) == domain(q)).toSet
     val rng = new scala.util.Random(19)

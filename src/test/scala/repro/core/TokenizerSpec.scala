@@ -24,10 +24,6 @@ class TokenizerSpec extends AnyFunSuite {
     assert(Tokenizer.tokenize("2023-01-15") == Seq("2023", "01", "15"))
   }
 
-  test("tokenizeAll flattens") {
-    assert(Tokenizer.tokenizeAll(Seq("a b", "c")) == Seq("a", "b", "c"))
-  }
-
   test("bag counts duplicates") {
     assert(Tokenizer.bag(Seq("a", "b", "a")) == Map("a" -> 2, "b" -> 1))
   }

@@ -53,8 +53,8 @@ class KbSpec extends AnyFunSuite {
   }
 
   test("different classes use different name lexicons (mostly)") {
-    val l0 = kb.entityLabels(0).toSet
-    val l1 = kb.entityLabels(1).toSet
+    val l0 = kb.entities(0).map(_.label).toSet
+    val l1 = kb.entities(1).map(_.label).toSet
     val overlap = l0.intersect(l1).size.toDouble / math.min(l0.size, l1.size)
     assert(overlap < 0.2, s"cross-class label overlap $overlap")
   }

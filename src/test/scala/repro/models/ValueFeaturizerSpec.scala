@@ -14,7 +14,7 @@ class ValueFeaturizerSpec extends AnyFunSuite {
   test("unbudgeted view sees every row") {
     val v = view(t, Budget(Int.MaxValue, Int.MaxValue, 0))
     assert(v.colBags(0).values.sum == 200) // "zone" + number per cell
-    assert(v.rowCount == 100)
+    assert(v.header.rowCount == 100)
   }
 
   test("row budget truncates") {
@@ -25,7 +25,7 @@ class ValueFeaturizerSpec extends AnyFunSuite {
   test("column budget truncates") {
     val v = view(t, Budget(Int.MaxValue, 1, 0))
     assert(v.colBags.size == 1)
-    assert(v.nCols == 2, "declared column count still reflects the table")
+    assert(v.header.nCols == 2, "declared column count still reflects the table")
   }
 
   test("token budget stops serialization early (headers count first)") {
@@ -37,7 +37,7 @@ class ValueFeaturizerSpec extends AnyFunSuite {
   test("zero-row budget yields header-only view") {
     val v = view(t, Budget(0, Int.MaxValue, 0))
     assert(v.colBags.forall(_.isEmpty))
-    assert(v.allHeaderTokens == Set("area", "value"))
+    assert(v.header.allTokens == Set("area", "value"))
   }
 
   test("numeric stats computed from visible window only") {
@@ -50,7 +50,7 @@ class ValueFeaturizerSpec extends AnyFunSuite {
   test("headerFeatures: identical headers score 1 on jaccard") {
     val v = view(t, TaBertBudget)
     assert(headerFeatures(v, v)(0) == 1.0)
-    assert(headerFeatures(v, v).length == HeaderDim)
+    assert(headerFeatures(v, v).length == PairFeatures.HeaderDim)
   }
 
   test("valueFeatures: same table scores table-embedding cosine 1") {

@@ -12,8 +12,7 @@ class SearchSpec extends SparkSpec {
   private lazy val lake = WikiLake.generate(seed = 13, nClasses = 6, entitiesPerClass = 150,
                                             schemasPerClass = 3, tablesPerSchema = 3)
   private lazy val tables = lake.lakeTables
-  private lazy val sketches =
-    TableSketcher.sketchAll(spark, tables.values.toSeq).collect().map(s => s.tableId -> s).toMap
+  private lazy val sketches = TableSketcher.sketchCorpus(spark, tables)
 
   private lazy val queries: Seq[(String, Int)] =
     lake.tables.take(8).map(t => (t.table.id, 0))
