@@ -57,7 +57,9 @@ object NumericalSketch {
 }
 
 /** ``LakeTable -> TableSketch``: the paper's per-table preprocessing, as a
-  * pure function so it can be mapped over a ``Dataset[LakeTable]``.
+  * pure function. `sketchCorpus` maps it over a driver-resident corpus on
+  * the [[Parallel]] pool; `sketchAll` maps it over a ``Dataset[LakeTable]``.
+  * Both paths run `sketch` itself, so a sketch means the same on each.
   */
 object TableSketcher {
 
@@ -93,13 +95,20 @@ object TableSketcher {
                 minhash.signature(rowStrings), rowStrings.size.toLong)
   }
 
-  /** Distributed sketching: one sketch per lake table via Dataset.map. */
+  /** Sketches as a Spark `Dataset`: `sketch` mapped over a
+    * `Dataset[LakeTable]`, for callers that want the sketches in Spark
+    * (the Spark extension point of DESIGN §4). Every cell is encoded into
+    * Catalyst rows and shipped to the tasks, so a corpus that is already a
+    * driver map is cheaper to sketch with `sketchCorpus`.
+    */
   def sketchAll(spark: SparkSession, tables: Seq[LakeTable]): Dataset[TableSketch] = {
     import spark.implicits._
     spark.createDataset(tables).map(sketch _)
   }
 
-  /** The sketches of a corpus, collected to the driver by table id. */
-  def sketchCorpus(spark: SparkSession, tables: Map[String, LakeTable]): Map[String, TableSketch] =
-    sketchAll(spark, tables.values.toSeq).collect().map(s => s.tableId -> s).toMap
+  /** The sketches of a driver-resident corpus by table id: `sketch` mapped
+    * over the tables on the driver's [[Parallel]] pool, with no Spark job.
+    */
+  def sketchCorpus(tables: Map[String, LakeTable]): Map[String, TableSketch] =
+    Parallel.map(tables.values.toSeq)(t => t.id -> sketch(t)).toMap
 }

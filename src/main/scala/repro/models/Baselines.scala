@@ -5,14 +5,15 @@ import java.util.concurrent.{ConcurrentHashMap, ConcurrentMap}
 import com.google.common.collect.MapMaker
 import org.apache.spark.sql.SparkSession
 
-import repro.core.TableSketcher
+import repro.core.{Parallel, TableSketcher}
 import repro.lake.LakeTable
 import repro.nn.RandomProjection
 
 /** A pair featurizer: precompute per-table representations for a corpus,
-  * then map a pair of table ids to a feature vector. Representations are
-  * computed through Spark (distributed map over the corpus) and cached per
-  * corpus so sibling benchmarks over the same lake reuse them.
+  * then map a pair of table ids to a feature vector. The corpus is already
+  * on the driver, so representations are computed there, one table per
+  * task on the [[repro.core.Parallel]] pool, and cached per corpus so
+  * sibling benchmarks over the same lake reuse them.
   */
 trait PairFeaturizer {
   def name: String
@@ -38,15 +39,15 @@ object RepCache {
 }
 
 /** TabSketchFM (ours): features from the paper's three sketch families,
-  * with the ablation mask (Tables 3–4). Sketching runs as a distributed
-  * ``Dataset[LakeTable].map`` (see [[TableSketcher.sketchAll]]).
+  * with the ablation mask (Tables 3–4). The corpus is sketched on the
+  * driver pool by [[TableSketcher.sketchCorpus]], without a Spark job.
   */
 case class SketchFeaturizer(mask: SketchMask = SketchMask.all, label: String = "TabSketchFM")
     extends PairFeaturizer {
   def name: String = label
 
   def prepare(spark: SparkSession, tables: Map[String, LakeTable]): (String, String) => Array[Double] = {
-    val sketches = RepCache.getOrCompute(tables, "sketches")(TableSketcher.sketchCorpus(spark, tables))
+    val sketches = RepCache.getOrCompute(tables, "sketches")(TableSketcher.sketchCorpus(tables))
     (a, b) => TabSketchFm.features(sketches(a), sketches(b), mask)
   }
 }
@@ -99,28 +100,6 @@ case class FrozenFeaturizer(name: String, budget: ValueFeaturizer.Budget, seed: 
       }.toMap
     }
     (a, b) => embs(a) ++ embs(b)
-  }
-}
-
-/** Small fixed thread pool for driver-side pure-CPU maps. Its threads are
-  * daemons, so an idle pool never keeps the JVM alive after `main` returns.
-  */
-object Parallel {
-  private val pool = {
-    val made = new java.util.concurrent.atomic.AtomicInteger
-    java.util.concurrent.Executors.newFixedThreadPool(
-      math.max(2, Runtime.getRuntime.availableProcessors() - 1),
-      (r: Runnable) => {
-        val t = new Thread(r, s"repro-parallel-${made.incrementAndGet()}")
-        t.setDaemon(true)
-        t
-      })
-  }
-
-  def map[T, U](xs: Seq[T])(f: T => U): Seq[U] = {
-    import scala.jdk.CollectionConverters._
-    val tasks = xs.map(x => new java.util.concurrent.Callable[U] { def call(): U = f(x) })
-    pool.invokeAll(tasks.asJava).asScala.map(_.get()).toSeq
   }
 }
 

@@ -2,6 +2,7 @@ package repro.models
 
 import org.apache.spark.sql.SparkSession
 
+import repro.core.Parallel
 import repro.lakebench.{Benchmark, BinaryTask, MultiLabelTask, PairExample, RegressionTask, TaskType}
 import repro.nn.{Metrics, Mlp}
 

@@ -4,7 +4,7 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.core.{MinHash, TableSketch}
+import repro.core.{MinHash, Parallel, TableSketch}
 import repro.lake.LakeTable
 import repro.lakebench.WikiLake
 
@@ -32,7 +32,7 @@ object JoinSearch {
   def embeddingsDf(spark: SparkSession, sketches: Map[String, TableSketch],
                    tables: Map[String, LakeTable], path: String): DataFrame = {
     import spark.implicits._
-    val rows = repro.models.Parallel.map(sketches.values.toSeq) { s =>
+    val rows = Parallel.map(sketches.values.toSeq) { s =>
       val t   = tables(s.tableId)
       val ctx = Embeddings.tableContext(s)
       s.columns.map(c => ColumnEmb(s.tableId, c.position,
@@ -91,14 +91,15 @@ object JoinSearch {
     }.take(k)
 
   /** JOSIE-lite: rank candidate tables by exact max value overlap of any
-    * column with the query column (overlap set similarity search).
+    * column with the query column (overlap set similarity search). A table
+    * with no columns has nothing to join on and is never a candidate.
     */
   def searchJosie(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
     val colSets: Map[String, Seq[Set[String]]] =
       tables.map { case (id, t) => id -> t.columnNames.indices.map(i => t.column(i).filter(_ != null).toSet) }
     queries.map { case (qt, qc) =>
       val qSet = colSets(qt)(qc)
-      val ranked = tables.keys.filter(_ != qt).map { cand =>
+      val ranked = tables.keys.filter(c => c != qt && colSets(c).nonEmpty).map { cand =>
         val best = colSets(cand).map(s => s.intersect(qSet).size).max
         (cand, best)
       }.toSeq.sortBy { case (id, s) => (-s, id) }
@@ -127,9 +128,11 @@ object JoinSearch {
     }.toMap
   }
 
-  /** EmbedJoin (WarpGate stand-in): value-embedding cosine only. */
+  /** EmbedJoin (WarpGate stand-in): value-embedding cosine only. Tables
+    * with no columns are never candidates.
+    */
   def searchEmbedJoin(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val embs: Map[String, Seq[Array[Double]]] = repro.models.Parallel.map(tables.toSeq) { case (id, t) =>
+    val embs: Map[String, Seq[Array[Double]]] = Parallel.map(tables.toSeq) { case (id, t) =>
       id -> t.columnNames.indices.map { i =>
         Embeddings.valueEmbedder.embed(
           t.column(i).filter(_ != null).take(100).flatMap(repro.core.Tokenizer.tokenize))
@@ -137,7 +140,7 @@ object JoinSearch {
     }.toMap
     queries.map { case (qt, qc) =>
       val q = embs(qt)(qc)
-      val ranked = tables.keys.filter(_ != qt).map { cand =>
+      val ranked = tables.keys.filter(c => c != qt && embs(c).nonEmpty).map { cand =>
         (cand, embs(cand).map(e => Embeddings.cosine(q, e)).max)
       }.toSeq.sortBy { case (id, c) => (-c, id) }
       qt -> ranked.take(k).map(_._1)

@@ -1,6 +1,6 @@
 package repro.search
 
-import repro.core.{MinHash, TableSketch, Tokenizer}
+import repro.core.{MinHash, Parallel, TableSketch, Tokenizer}
 import repro.lake.LakeTable
 
 /** Union search (§6.3.2, Fig. 9–10): given a query table, retrieve
@@ -13,18 +13,21 @@ import repro.lake.LakeTable
   *  - SANTOS-lite: header-and-value semantic agreement per aligned column.
   *  - Starmie-lite: greedy bipartite matching over per-column value
   *    embeddings (contextualized-column stand-in).
+  *
+  * A lake table with no columns has nothing to union with and is never a
+  * candidate.
   */
 object UnionSearch {
 
   /** Rank the lake for one query by a table-level score function. */
   private def rank(corpus: Map[String, LakeTable], query: String, k: Int,
                    score: (String, String) => Double): Seq[String] =
-    corpus.keys.filter(_ != query).map(c => (c, score(query, c))).toSeq
+    corpus.keys.filter(c => c != query && corpus(c).numCols > 0).map(c => (c, score(query, c))).toSeq
       .sortBy { case (id, s) => (-s, id) }.take(k).map(_._1)
 
   def searchEmbeddings(sketches: Map[String, TableSketch], tables: Map[String, LakeTable],
                        queries: Seq[String], k: Int): Map[String, Seq[String]] = {
-    val embs = repro.models.Parallel.map(tables.keys.toSeq)(id =>
+    val embs = Parallel.map(tables.keys.toSeq)(id =>
       id -> Embeddings.table(sketches(id), tables(id))).toMap
     queries.map(q => q -> rank(tables, q, k, (a, b) => Embeddings.cosine(embs(a), embs(b)))).toMap
   }
@@ -50,7 +53,8 @@ object UnionSearch {
       if (a.columns.isEmpty || b.columns.isEmpty) 0.0
       else a.columns.map(ca => b.columns.map(cb => colScore(ca, cb)).max).sum / a.columns.size
     queries.map { q =>
-      q -> sketches.keys.filter(_ != q).map(c => (c, tableScore(sketches(q), sketches(c)))).toSeq
+      q -> sketches.keys.filter(c => c != q && sketches(c).columns.nonEmpty)
+        .map(c => (c, tableScore(sketches(q), sketches(c)))).toSeq
         .sortBy { case (id, s) => (-s, id) }.take(k).map(_._1).toSeq
     }.toMap
   }
@@ -70,7 +74,8 @@ object UnionSearch {
       if (a.columns.isEmpty || b.columns.isEmpty) 0.0
       else a.columns.map(ca => b.columns.map(cb => colScore(ca, cb)).max).sum / a.columns.size
     queries.map { q =>
-      q -> sketches.keys.filter(_ != q).map(c => (c, tableScore(sketches(q), sketches(c)))).toSeq
+      q -> sketches.keys.filter(c => c != q && sketches(c).columns.nonEmpty)
+        .map(c => (c, tableScore(sketches(q), sketches(c)))).toSeq
         .sortBy { case (id, s) => (-s, id) }.take(k).map(_._1).toSeq
     }.toMap
   }
@@ -79,7 +84,7 @@ object UnionSearch {
     * embeddings; table score = mean matched cosine scaled by coverage.
     */
   def searchStarmie(tables: Map[String, LakeTable], queries: Seq[String], k: Int): Map[String, Seq[String]] = {
-    val embs: Map[String, Seq[Array[Double]]] = repro.models.Parallel.map(tables.toSeq) { case (id, t) =>
+    val embs: Map[String, Seq[Array[Double]]] = Parallel.map(tables.toSeq) { case (id, t) =>
       id -> t.columnNames.indices.map { i =>
         Embeddings.valueEmbedder.embed(
           Tokenizer.tokenize(t.columnNames(i)) ++
@@ -98,7 +103,7 @@ object UnionSearch {
       total / math.max(a.size, 1)
     }
     queries.map { q =>
-      q -> tables.keys.filter(_ != q).map(c => (c, tableScore(embs(q), embs(c)))).toSeq
+      q -> tables.keys.filter(c => c != q && embs(c).nonEmpty).map(c => (c, tableScore(embs(q), embs(c)))).toSeq
         .sortBy { case (id, s) => (-s, id) }.take(k).map(_._1).toSeq
     }.toMap
   }

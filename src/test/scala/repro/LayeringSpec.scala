@@ -1,0 +1,64 @@
+package repro
+
+import java.nio.file.{Files, Path, Paths}
+
+import scala.jdk.CollectionConverters._
+
+import org.scalatest.funsuite.AnyFunSuite
+
+/** Layering guard over the main sources (DESIGN §4): the substrates
+  * (`core`, `lake`, `nn`) use no code from `models`, `search` or `report`,
+  * and `search` uses none from `models`. An import and a fully qualified
+  * name both count as a use; comments do not.
+  */
+class LayeringSpec extends AnyFunSuite {
+
+  private val root: Path = Paths.get("src", "main", "scala", "repro")
+
+  private val forbidden: Seq[(String, Seq[String])] = Seq(
+    "core"   -> Seq("models", "search", "report"),
+    "lake"   -> Seq("models", "search", "report"),
+    "nn"     -> Seq("models", "search", "report"),
+    "search" -> Seq("models"),
+  )
+
+  /** The packages among `layers` that Scala source `src` uses outside its
+    * comments, as `repro.layer` or inside `import repro.{...}`.
+    */
+  private def uses(src: String, layers: Seq[String]): Seq[String] = {
+    val code = src.replaceAll("(?s)/\\*.*?\\*/", " ").replaceAll("//[^\n]*", "")
+    layers.filter { l =>
+      s"\\brepro\\s*\\.\\s*$l\\b".r.findFirstIn(code).isDefined ||
+      s"\\brepro\\s*\\.\\s*\\{[^}]*\\b$l\\b".r.findFirstIn(code).isDefined
+    }
+  }
+
+  private def sources(layer: String): Seq[Path] = {
+    val dir = root.resolve(layer)
+    assert(Files.isDirectory(dir), s"$dir not found from ${Paths.get("").toAbsolutePath}")
+    val walk = Files.walk(dir)
+    try walk.iterator.asScala.filter(_.toString.endsWith(".scala")).toList
+    finally walk.close()
+  }
+
+  test("the guard sees imports and qualified names, not comments") {
+    val layers = Seq("models", "search", "report")
+    assert(uses("import repro.models.Parallel", layers) == Seq("models"))
+    assert(uses("val xs = repro.models.Parallel.map(ys)(f)", layers) == Seq("models"))
+    assert(uses("import repro.{report, search => s}", layers) == Seq("search", "report"))
+    assert(uses("import repro.core.Parallel // not repro.models.Parallel", layers).isEmpty)
+    assert(uses("/** See [[repro.models.Runner]]. */\nobject A", layers).isEmpty)
+    assert(uses("import repro.modelsx.A", layers).isEmpty)
+  }
+
+  for ((layer, banned) <- forbidden)
+    test(s"repro.$layer uses nothing from ${banned.map("repro." + _).mkString(", ")}") {
+      val files = sources(layer)
+      assert(files.nonEmpty, s"no sources under repro.$layer")
+      val offenders = files.flatMap { f =>
+        val hit = uses(new String(Files.readAllBytes(f), "UTF-8"), banned)
+        if (hit.isEmpty) None else Some(s"$f uses ${hit.mkString(", ")}")
+      }
+      assert(offenders.isEmpty, offenders.mkString("; "))
+    }
+}

@@ -3,8 +3,9 @@ package repro.core
 import repro.SparkSpec
 import repro.lake.LakeTable
 
-/** `sketchAll` maps `TableSketcher.sketch` over a Spark `Dataset`: every
-  * field of every sketch it returns must equal the local sketch, the
+/** `sketchAll` maps `TableSketcher.sketch` over a Spark `Dataset` and
+  * `sketchCorpus` over a driver map on the `Parallel` pool: every field of
+  * every sketch either returns must equal the local sketch, the
   * floating-point fields bit for bit.
   */
 class SketchAllSpec extends SparkSpec {
@@ -23,6 +24,7 @@ class SketchAllSpec extends SparkSpec {
           Seq("", null, "seven", null),
           Seq("", null, "-3", "2021-03-04"))),
     LakeTable("no_rows.csv", "", Seq("a", "b"), Seq.empty),
+    LakeTable("no_cols.csv", "a header-less table", Seq.empty, Seq(Seq.empty, Seq.empty)),
   )
 
   /** A sketch as nested lists with every double and array replaced by its
@@ -38,9 +40,17 @@ class SketchAllSpec extends SparkSpec {
   }
 
   test("sketchAll returns exactly the local sketch of every table") {
-    val dist = TableSketcher.sketchCorpus(spark, tables.map(t => t.id -> t).toMap)
-    assert(dist.keySet == tables.map(_.id).toSet)
-    for (t <- tables) assert(exact(dist(t.id)) == exact(TableSketcher.sketch(t)), t.id)
+    val dist = TableSketcher.sketchAll(spark, tables).collect()
+    assert(dist.map(_.tableId).toSeq == tables.map(_.id))
+    for ((s, t) <- dist.zip(tables)) assert(exact(s) == exact(TableSketcher.sketch(t)), t.id)
+  }
+
+  test("sketchCorpus returns exactly the local sketch of every table, keyed by id") {
+    val corpus = TableSketcher.sketchCorpus(tables.map(t => t.id -> t).toMap)
+    assert(corpus.keySet == tables.map(_.id).toSet)
+    for (t <- tables) assert(exact(corpus(t.id)) == exact(TableSketcher.sketch(t)), t.id)
+    val noCols = corpus("no_cols.csv")
+    assert(noCols.columns.isEmpty && noCols.rowCount == 2 && noCols.distinctRowCount == 1)
   }
 
   test("the odd table is sketched as blank, null, mixed and date columns") {

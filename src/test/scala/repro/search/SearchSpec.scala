@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions.{col, lit}
 
 import repro.SparkSpec
 import repro.core.TableSketcher
+import repro.lake.LakeTable
 import repro.lakebench.WikiLake
 import repro.nn.Metrics
 
@@ -12,7 +13,7 @@ class SearchSpec extends SparkSpec {
   private lazy val lake = WikiLake.generate(seed = 13, nClasses = 6, entitiesPerClass = 150,
                                             schemasPerClass = 3, tablesPerSchema = 3)
   private lazy val tables = lake.lakeTables
-  private lazy val sketches = TableSketcher.sketchCorpus(spark, tables)
+  private lazy val sketches = TableSketcher.sketchCorpus(tables)
 
   private lazy val queries: Seq[(String, Int)] =
     lake.tables.take(8).map(t => (t.table.id, 0))
@@ -133,5 +134,31 @@ class SearchSpec extends SparkSpec {
       assert(res.size == 4)
       res.foreach { case (q, ranked) => assert(!ranked.contains(q) && ranked.size <= 5) }
     }
+  }
+
+  test("a zero-column lake table is never a candidate and crashes no search") {
+    val empty = LakeTable("no_cols.csv", "", Seq.empty, Seq(Seq.empty, Seq.empty))
+    val lake2 = tables + (empty.id -> empty)
+    val sk2   = sketches + (empty.id -> TableSketcher.sketch(empty))
+    // k covers the whole lake, so a method that ranked the empty table at
+    // all would return it.
+    val k  = lake2.size
+    val qs = lake2.keys.filter(_ != empty.id).take(4).toSeq
+    val emb = JoinSearch.embeddingsDf(spark, sk2, lake2, java.nio.file.Files.createTempDirectory("emb-empty").toString)
+    val results = Seq(
+      "TabSketchFM join"  -> JoinSearch.searchEmbeddings(spark, emb, queries, k),
+      "LSHForest"         -> JoinSearch.searchLsh(sk2, queries, k),
+      "JOSIE"             -> JoinSearch.searchJosie(lake2, queries, k),
+      "EmbedJoin"         -> JoinSearch.searchEmbedJoin(lake2, queries, k),
+      "TabSketchFM union" -> UnionSearch.searchEmbeddings(sk2, lake2, qs, k),
+      "D3L"               -> UnionSearch.searchD3L(sk2, qs, k),
+      "SANTOS"            -> UnionSearch.searchSantos(sk2, qs, k),
+      "Starmie"           -> UnionSearch.searchStarmie(lake2, qs, k))
+    for ((method, res) <- results) {
+      assert(res.nonEmpty, method)
+      assert(!res.values.exists(_.contains(empty.id)), s"$method returned the zero-column table")
+    }
+    assert(results.toMap.apply("TabSketchFM union").values.forall(_.size == lake2.size - 2),
+      "every other table is still ranked")
   }
 }
