@@ -12,8 +12,6 @@ object TypeInference {
   case object FloatT  extends ColType { val name = "float" }
   case object DateT   extends ColType { val name = "date" }
 
-  val all: Seq[ColType] = Seq(StringT, IntT, FloatT, DateT)
-
   private val IsoDate   = """(\d{4})-(\d{2})-(\d{2})""".r
   private val SlashDate = """(\d{1,2})/(\d{1,2})/(\d{2,4})""".r
 

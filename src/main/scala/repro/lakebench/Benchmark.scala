@@ -31,15 +31,14 @@ case class Benchmark(
 
 object Benchmark {
 
-  /** Deterministic shuffle + split into train/valid/test fractions that
-    * mirror LakeBench's roughly 80/10/10 layout.
+  /** Deterministic shuffle + 80/10/10 train/valid/test split, mirroring
+    * LakeBench's layout.
     */
-  def split(pairs: Seq[PairExample], seed: Long,
-            trainFrac: Double = 0.8, validFrac: Double = 0.1): (Seq[PairExample], Seq[PairExample], Seq[PairExample]) = {
+  def split(pairs: Seq[PairExample], seed: Long): (Seq[PairExample], Seq[PairExample], Seq[PairExample]) = {
     val rng      = new Random(seed)
     val shuffled = rng.shuffle(pairs.toVector)
-    val nTrain   = (shuffled.size * trainFrac).toInt
-    val nValid   = (shuffled.size * validFrac).toInt
+    val nTrain   = (shuffled.size * 0.8).toInt
+    val nValid   = (shuffled.size * 0.1).toInt
     (shuffled.take(nTrain),
      shuffled.slice(nTrain, nTrain + nValid),
      shuffled.drop(nTrain + nValid))

@@ -25,8 +25,6 @@ object WikiUnion {
     def pick[T](v: Vector[T]): T = v(rng.nextInt(v.size))
 
     val posGroups = byClassSig.values.filter(_.size >= 2).toVector
-    // Signatures spanning >=2 classes -> negative kind (a) exists.
-    val crossSigs = bySig.filter { case (_, g) => g.map(_.classIdx).distinct.size >= 2 }.values.toVector
 
     val pairs = scala.collection.mutable.ArrayBuffer.empty[PairExample]
     val seen  = scala.collection.mutable.HashSet.empty[(String, String)]
@@ -58,7 +56,6 @@ object WikiUnion {
         if (bs.nonEmpty) add(a, pick(bs), 0.0)
       }
     }
-    val _ = crossSigs
 
     val (tr, va, te) = Benchmark.split(pairs.toSeq, seed)
     Benchmark("Wiki Union", BinaryTask, lake.lakeTables, tr, va, te)

@@ -1,6 +1,8 @@
 package repro.models
 
+import repro.core.Similarity.{bestMatch, max}
 import repro.core.Tokenizer
+import repro.nn.Metrics.mean
 
 /** The header side of one table, as every pair featurizer reads it:
   * lowercased column names and per-column header token sets (both in
@@ -45,24 +47,28 @@ object PairFeatures {
   def sharedNames(a: Header, b: Header): Seq[String] =
     a.names.toSet.intersect(b.names.toSet).toSeq.sorted
 
-  def safeDiv(a: Double, b: Double): Double = if (b == 0) 0.0 else a / b
+  /** One slot per shared name: each slot keeps the largest `sim` among the
+    * names hashed to it, or 0 when `sim` gives none.
+    */
+  def maxSlots(shared: Seq[String])(sim: String => Option[Double]): Array[Double] = {
+    val slots = new Array[Double](SharedSlots)
+    shared.foreach(n => sim(n).foreach { v => val s = slotOf(n); if (v > slots(s)) slots(s) = v })
+    slots
+  }
 
   /** Header-token overlap, best per-column header match, column-count and
     * description agreement, row-count ratio, then one indicator per
     * shared-name slot.
     */
   def headerFeatures(a: Header, b: Header): Array[Double] = {
-    val best = a.tokenSets.map(sa =>
-      if (b.tokenSets.isEmpty) 0.0 else b.tokenSets.map(sb => Tokenizer.jaccard(sa, sb)).max)
-    val slots = new Array[Double](SharedSlots)
-    sharedNames(a, b).foreach(n => slots(slotOf(n)) = 1.0)
+    val best = bestMatch(a.tokenSets, b.tokenSets)(Tokenizer.jaccard)
     Array(
       Tokenizer.jaccard(a.allTokens, b.allTokens),
-      if (best.isEmpty) 0.0 else best.max,
-      if (best.isEmpty) 0.0 else best.sum / best.size,
-      safeDiv(math.min(a.nCols, b.nCols).toDouble, math.max(1, math.max(a.nCols, b.nCols)).toDouble),
+      max(best),
+      mean(best),
+      math.min(a.nCols, b.nCols).toDouble / math.max(1, math.max(a.nCols, b.nCols)),
       Tokenizer.jaccard(a.descTokens, b.descTokens),
       math.abs(math.log((a.rowCount + 1.0) / (b.rowCount + 1.0))),
-    ) ++ slots
+    ) ++ maxSlots(sharedNames(a, b))(_ => Some(1.0))
   }
 }

@@ -1,6 +1,8 @@
 package repro.models
 
 import repro.core.{ColumnSketch, MinHash, TableSketch, Tokenizer}
+import repro.core.Similarity.{bestMatch, fracAbove, max, rangeOverlap, relDiff, topMean}
+import repro.nn.Metrics.mean
 
 /** Which sketch families feed the pair featurizer — drives the paper's
   * ablations (Tables 3 and 4). Header/description tokens are always
@@ -45,62 +47,32 @@ object TabSketchFm {
 
   /** Best-match MinHash statistics from A's columns into B's. */
   private def minhashDirected(a: TableSketch, b: TableSketch): (Seq[Double], Seq[Double], Seq[Double]) = {
-    val jac = a.columns.map { ca =>
-      if (b.columns.isEmpty) 0.0
-      else b.columns.map(cb => MinHash.jaccard(ca.valueMinHash, cb.valueMinHash)).max
-    }
-    val con = a.columns.map { ca =>
-      if (b.columns.isEmpty) 0.0
-      else b.columns.map(cb =>
-        MinHash.containment(ca.valueMinHash, cb.valueMinHash, ca.distinctCount, cb.distinctCount)).max
-    }
-    val tokStr = a.columns.filter(_.tokenMinHash.nonEmpty)
-    val tok = tokStr.map { ca =>
-      val cands = b.columns.filter(_.tokenMinHash.nonEmpty)
-      if (cands.isEmpty) 0.0 else cands.map(cb => MinHash.jaccard(ca.tokenMinHash, cb.tokenMinHash)).max
-    }
+    val jac = bestMatch(a.columns, b.columns)((ca, cb) => MinHash.jaccard(ca.valueMinHash, cb.valueMinHash))
+    val con = bestMatch(a.columns, b.columns)((ca, cb) =>
+      MinHash.containment(ca.valueMinHash, cb.valueMinHash, ca.distinctCount, cb.distinctCount))
+    val tok = bestMatch(a.columns.filter(_.tokenMinHash.nonEmpty), b.columns.filter(_.tokenMinHash.nonEmpty))(
+      (ca, cb) => MinHash.jaccard(ca.tokenMinHash, cb.tokenMinHash))
     (jac, con, tok)
   }
-
-  private def topK(xs: Seq[Double], k: Int): Double =
-    if (xs.isEmpty) 0.0 else { val t = xs.sorted.reverse.take(k); t.sum / t.size }
 
   private def minhashFeatures(a: TableSketch, b: TableSketch, shared: Seq[String]): Array[Double] = {
     val (jA, cA, tA) = minhashDirected(a, b)
     val (jB, cB, tB) = minhashDirected(b, a)
     val j = jA ++ jB
     val t = tA ++ tB
-    val slots = new Array[Double](SharedSlots)
-    shared.foreach { n =>
-      val jac = MinHash.jaccard(colByName(a, n).valueMinHash, colByName(b, n).valueMinHash)
-      val s = slotOf(n)
-      if (jac > slots(s)) slots(s) = jac
-    }
     Array(
-      if (j.isEmpty) 0.0 else j.max,
-      if (j.isEmpty) 0.0 else j.sum / j.size,
-      topK(j, 3),
-      safeDiv(j.count(_ > 0.8).toDouble, math.max(1, j.size).toDouble),
-      safeDiv(j.count(_ > 0.3).toDouble, math.max(1, j.size).toDouble),
-      if (cA.isEmpty) 0.0 else cA.max,
-      if (cA.isEmpty) 0.0 else cA.sum / cA.size,
-      if (cB.isEmpty) 0.0 else cB.max,
-      if (cB.isEmpty) 0.0 else cB.sum / cB.size,
-      if (t.isEmpty) 0.0 else t.max,
-      if (t.isEmpty) 0.0 else t.sum / t.size,
-      topK(t, 3),
-    ) ++ slots
+      max(j), mean(j), topMean(j, 3), fracAbove(j, 0.8), fracAbove(j, 0.3),
+      max(cA), mean(cA), max(cB), mean(cB),
+      max(t), mean(t), topMean(t, 3),
+    ) ++ maxSlots(shared)(n => Some(MinHash.jaccard(colByName(a, n).valueMinHash, colByName(b, n).valueMinHash)))
   }
 
+  /** Mean relative difference of two numeric columns' sketch stats at `idx`. */
+  private def statDistance(idx: Seq[Int])(x: ColumnSketch, y: ColumnSketch): Double =
+    mean(idx.map(i => relDiff(x.numeric(i), y.numeric(i))))
+
   /** Distance between two numeric columns' sketch stats, scale-normalized. */
-  private def numDistance(x: ColumnSketch, y: ColumnSketch): Double = {
-    val idx = Seq(0, 2, 3, 6) // mean, min, max, p50
-    idx.map { i =>
-      val (u, v) = (x.numeric(i), y.numeric(i))
-      val s = math.max(math.abs(u), math.max(math.abs(v), 1e-9))
-      math.min(1.0, math.abs(u - v) / s)
-    }.sum / idx.size
-  }
+  private val numDistance = statDistance(Seq(0, 2, 3, 6)) _ // mean, min, max, p50
 
   /** Align numeric columns: same header name wins; otherwise min distance. */
   private def alignNumeric(a: TableSketch, b: TableSketch): Seq[(ColumnSketch, ColumnSketch)] = {
@@ -119,67 +91,44 @@ object TabSketchFm {
     // Slot similarity uses distribution *shape* (mean + quartiles): under
     // a fixed value band the extremes are identical everywhere and only
     // the shape moves with the data distribution.
-    def shapeDistance(x: ColumnSketch, y: ColumnSketch): Double = {
-      val idx = Seq(0, 5, 6, 7) // mean, p25, p50, p75
-      idx.map { i =>
-        val (u, v) = (x.numeric(i), y.numeric(i))
-        val s = math.max(math.abs(u), math.max(math.abs(v), 1e-9))
-        math.min(1.0, math.abs(u - v) / s)
-      }.sum / idx.size
-    }
-    val slots = new Array[Double](SharedSlots)
-    shared.foreach { n =>
+    val shapeDistance = statDistance(Seq(0, 5, 6, 7)) _ // mean, p25, p50, p75
+    val slots = maxSlots(shared) { n =>
       val (ca, cb) = (colByName(a, n), colByName(b, n))
-      if (ca.isNumeric && cb.isNumeric) {
-        val s = slotOf(n)
-        val sim = 1.0 - shapeDistance(ca, cb)
-        if (sim > slots(s)) slots(s) = sim
-      }
+      if (ca.isNumeric && cb.isNumeric) Some(1.0 - shapeDistance(ca, cb)) else None
     }
+    val rowRatio = math.min(a.rowCount, b.rowCount).toDouble / math.max(1L, math.max(a.rowCount, b.rowCount))
     val pairs = alignNumeric(a, b)
-    if (pairs.isEmpty)
-      return Array(0, 1, 0, 0, 1, 0, 0, 0, 0, 0, safeDiv(math.min(a.rowCount, b.rowCount).toDouble,
-        math.max(1L, math.max(a.rowCount, b.rowCount)).toDouble), 0.0) ++ slots
+    if (pairs.isEmpty) return Array(0, 1, 0, 0, 1, 0, 0, 0, 0, 0, rowRatio, 0.0) ++ slots
     val dists = pairs.map { case (x, y) => numDistance(x, y) }
     def within(x: ColumnSketch, y: ColumnSketch): Boolean =
       x.numeric(2) >= y.numeric(2) - 1e-9 && x.numeric(3) <= y.numeric(3) + 1e-9
     val rangeAinB = pairs.count { case (x, y) => within(x, y) }.toDouble / pairs.size
     val rangeBinA = pairs.count { case (x, y) => within(y, x) }.toDouble / pairs.size
-    val meanDiff = pairs.map { case (x, y) =>
-      val s = math.max(math.abs(x.numeric(0)), math.max(math.abs(y.numeric(0)), 1e-9))
-      math.min(1.0, math.abs(x.numeric(0) - y.numeric(0)) / s)
-    }.sum / pairs.size
-    val pctOverlap = pairs.map { case (x, y) =>
-      val lo = math.max(x.numeric(4), y.numeric(4)); val hi = math.min(x.numeric(8), y.numeric(8))
-      val unionLo = math.min(x.numeric(4), y.numeric(4)); val unionHi = math.max(x.numeric(8), y.numeric(8))
-      if (unionHi - unionLo <= 0) 1.0 else math.max(0.0, hi - lo) / (unionHi - unionLo)
-    }.sum / pairs.size
+    val meanDiff = mean(pairs.map { case (x, y) => relDiff(x.numeric(0), y.numeric(0)) })
+    val pctOverlap = mean(pairs.map { case (x, y) => rangeOverlap(x.numeric(4), x.numeric(8), y.numeric(4), y.numeric(8)) })
     val allA = a.columns; val allB = b.columns
     val byName = allB.groupBy(_.name.toLowerCase)
     val nameAligned = allA.flatMap(ca => byName.get(ca.name.toLowerCase).map(g => (ca, g.head)))
-    val distinctLe = if (nameAligned.isEmpty) 0.0
-      else nameAligned.count { case (x, y) => x.distinctCount <= y.distinctCount }.toDouble / nameAligned.size
-    val distinctDiff = if (nameAligned.isEmpty) 0.0
-      else nameAligned.map { case (x, y) => math.abs(x.distinctFrac - y.distinctFrac) }.sum / nameAligned.size
-    val nullDiff = if (nameAligned.isEmpty) 0.0
-      else nameAligned.map { case (x, y) => math.abs(x.nullFrac - y.nullFrac) }.sum / nameAligned.size
+    val distinctLe = mean(nameAligned.map { case (x, y) => if (x.distinctCount <= y.distinctCount) 1.0 else 0.0 })
+    val distinctDiff = mean(nameAligned.map { case (x, y) => math.abs(x.distinctFrac - y.distinctFrac) })
+    val nullDiff = mean(nameAligned.map { case (x, y) => math.abs(x.nullFrac - y.nullFrac) })
     val widthDiff = {
       val sa = allA.filter(c => !c.isNumeric); val sb = allB.filter(c => !c.isNumeric)
-      if (sa.isEmpty || sb.isEmpty) 0.0
-      else sa.map(ca => sb.map(cb => math.abs(ca.avgWidth - cb.avgWidth) /
-        math.max(1.0, math.max(ca.avgWidth, cb.avgWidth))).min).sum / sa.size
+      if (sb.isEmpty) 0.0
+      else mean(sa.map(ca => sb.map(cb => math.abs(ca.avgWidth - cb.avgWidth) /
+        math.max(1.0, math.max(ca.avgWidth, cb.avgWidth))).min))
     }
     Array(
-      safeDiv(pairs.count { case (x, y) => numDistance(x, y) < 0.1 }.toDouble, pairs.size.toDouble),
-      dists.sum / dists.size,
+      dists.count(_ < 0.1).toDouble / dists.size,
+      mean(dists),
       rangeAinB, rangeBinA, meanDiff, pctOverlap,
       distinctLe, distinctDiff, nullDiff, widthDiff,
-      safeDiv(math.min(a.rowCount, b.rowCount).toDouble, math.max(1L, math.max(a.rowCount, b.rowCount)).toDouble),
-      safeDiv(na(a).toDouble, math.max(1, a.columns.size).toDouble) - safeDiv(na(b).toDouble, math.max(1, b.columns.size).toDouble),
+      rowRatio,
+      numericShare(a) - numericShare(b),
     ) ++ slots
   }
 
-  private def na(t: TableSketch): Int = t.columns.count(_.isNumeric)
+  private def numericShare(t: TableSketch): Double = t.columns.count(_.isNumeric).toDouble / math.max(1, t.columns.size)
 
   private def contentFeatures(a: TableSketch, b: TableSketch): Array[Double] = Array(
     MinHash.jaccard(a.contentMinHash, b.contentMinHash),

@@ -1,7 +1,9 @@
 package repro.models
 
 import repro.core.{Tokenizer, TypeInference}
+import repro.core.Similarity.{bestMatch, cosine, fracAbove, max, rangeOverlap, relDiff, topMean}
 import repro.lake.LakeTable
+import repro.nn.Metrics.mean
 import repro.nn.RandomProjection
 
 /** Token-level view of a table under a baseline model's input budget —
@@ -26,7 +28,6 @@ case class ValueView(
 object ColumnEmbedder {
   private val proj = new RandomProjection(dim = 48, buckets = 512, seed = 77)
   def embedCounts(bag: Map[String, Int]): Array[Double] = proj.embedCounts(bag)
-  def cosine(a: Array[Double], b: Array[Double]): Double = proj.cosine(a, b)
 }
 
 object ValueFeaturizer {
@@ -141,26 +142,13 @@ object ValueFeaturizer {
     * distribution/set reasoning (§6.1.2).
     */
   def valueFeatures(a: ValueView, b: ValueView): Array[Double] = {
-    def directed(x: ValueView, y: ValueView): Seq[Double] =
-      x.colEmbs.map(ex => if (y.colEmbs.isEmpty) 0.0 else y.colEmbs.map(ey => ColumnEmbedder.cosine(ex, ey)).max)
-    val cos = directed(a, b) ++ directed(b, a)
-    val top3 = if (cos.isEmpty) 0.0 else { val t = cos.sorted.reverse.take(3); t.sum / t.size }
-    val slots = new Array[Double](SharedSlots)
-    sharedNames(a.header, b.header).foreach { n =>
+    val cos = bestMatch(a.colEmbs, b.colEmbs)(cosine) ++ bestMatch(b.colEmbs, a.colEmbs)(cosine)
+    val slots = maxSlots(sharedNames(a.header, b.header)) { n =>
       val (ia, ib) = (a.header.names.indexOf(n), b.header.names.indexOf(n))
-      if (ia >= 0 && ib >= 0) {
-        val c = ColumnEmbedder.cosine(a.colEmbs(ia), b.colEmbs(ib))
-        val s = slotOf(n)
-        if (c > slots(s)) slots(s) = c
-      }
+      if (ia >= 0 && ib >= 0) Some(cosine(a.colEmbs(ia), b.colEmbs(ib))) else None
     }
     Array(
-      ColumnEmbedder.cosine(a.tableEmb, b.tableEmb),
-      if (cos.isEmpty) 0.0 else cos.max,
-      if (cos.isEmpty) 0.0 else cos.sum / cos.size,
-      top3,
-      safeDiv(cos.count(_ > 0.8).toDouble, math.max(1, cos.size).toDouble),
-      safeDiv(cos.count(_ > 0.5).toDouble, math.max(1, cos.size).toDouble),
+      cosine(a.tableEmb, b.tableEmb), max(cos), mean(cos), topMean(cos, 3), fracAbove(cos, 0.8), fracAbove(cos, 0.5),
     ) ++ slots
   }
 
@@ -171,20 +159,8 @@ object ValueFeaturizer {
     val na = a.colStats.filter(s => !s(0).isNaN)
     val nb = b.colStats.filter(s => !s(0).isNaN)
     if (na.isEmpty || nb.isEmpty) return Array(0.0, 1.0, 0.0)
-    def relDiff(u: Double, v: Double): Double =
-      math.min(1.0, math.abs(u - v) / math.max(math.abs(u), math.max(math.abs(v), 1e-9)))
     val dists = na.map(sa => nb.map(sb => relDiff(sa(0), sb(0))).min)
-    val overlap = na.map { sa =>
-      nb.map { sb =>
-        val lo = math.max(sa(1), sb(1)); val hi = math.min(sa(2), sb(2))
-        val ulo = math.min(sa(1), sb(1)); val uhi = math.max(sa(2), sb(2))
-        if (uhi - ulo <= 0) 1.0 else math.max(0.0, hi - lo) / (uhi - ulo)
-      }.max
-    }
-    Array(
-      dists.count(_ < 0.2).toDouble / dists.size,
-      dists.sum / dists.size,
-      overlap.sum / overlap.size,
-    )
+    val overlap = bestMatch(na, nb)((sa, sb) => rangeOverlap(sa(1), sa(2), sb(1), sb(2)))
+    Array(dists.count(_ < 0.2).toDouble / dists.size, mean(dists), mean(overlap))
   }
 }

@@ -20,7 +20,8 @@ object Mlp {
   /** nLabels independent sigmoid outputs. */
   case class MultiLabel(nLabels: Int) extends Task
 
-  /** Training hyper-parameters.
+  /** Training hyper-parameters (the optimizer settings are the constants
+    * below).
     *
     * `patience` is the number of epochs without a validation-loss gain
     * that ends training. The paper finetunes with patience 5 (§6), and 5 is
@@ -33,13 +34,15 @@ object Mlp {
     */
   case class Config(
       hidden: Int = 32,
-      lr: Double = 5e-3,
       epochs: Int = 300,
-      batchSize: Int = 64,
       patience: Int = 5,
       seed: Long = 0,
-      l2: Double = 1e-5,
   )
+
+  // Adam step size, mini-batch size and L2 weight decay of every experiment.
+  private val Lr: Double     = 5e-3
+  private val BatchSize: Int = 64
+  private val L2: Double     = 1e-5
 
   /** Train on (features, labels); labels row length is 1 except MultiLabel. */
   def train(task: Task,
@@ -93,7 +96,6 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
   }
 
   private def fitStandardizer(xs: Array[Array[Double]]): Unit = {
-    val n = xs.length
     var i = 0
     while (i < nIn) {
       var s = 0.0; var c = 0
@@ -104,7 +106,6 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
       sigma(i) = if (c == 0) 1.0 else math.max(1e-8, math.sqrt(v / math.max(1, c)))
       i += 1
     }
-    val _ = n
   }
 
   /** Forward pass on a standardized input; returns (hidden, output).
@@ -186,7 +187,7 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
     while (i < p.length) {
       m(i) = 0.9 * m(i) + 0.1 * g(i)
       v(i) = 0.999 * v(i) + 0.001 * g(i) * g(i)
-      p(i) -= cfg.lr * (m(i) / b1c) / (math.sqrt(v(i) / b2c) + 1e-8)
+      p(i) -= Lr * (m(i) / b1c) / (math.sqrt(v(i) / b2c) + 1e-8)
       i += 1
     }
   }
@@ -210,7 +211,7 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
 
       var start = 0
       while (start < n) {
-        val end = math.min(n, start + cfg.batchSize)
+        val end = math.min(n, start + BatchSize)
         trainBatch(z, yTrain, order, start, end)
         start = end
       }
@@ -290,7 +291,7 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
     var j = 0
     while (j < nHid) {
       var i2 = 0
-      while (i2 < nIn) { gW1(j)(i2) = gW1(j)(i2) / bs + cfg.l2 * w1(j)(i2); i2 += 1 }
+      while (i2 < nIn) { gW1(j)(i2) = gW1(j)(i2) / bs + L2 * w1(j)(i2); i2 += 1 }
       adam(w1(j), gW1(j), mW1(j), vW1(j))
       j += 1
     }
@@ -300,7 +301,7 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
     var k2 = 0
     while (k2 < nOut) {
       var j2 = 0
-      while (j2 < nHid) { gW2(k2)(j2) = gW2(k2)(j2) / bs + cfg.l2 * w2(k2)(j2); j2 += 1 }
+      while (j2 < nHid) { gW2(k2)(j2) = gW2(k2)(j2) / bs + L2 * w2(k2)(j2); j2 += 1 }
       adam(w2(k2), gW2(k2), mW2(k2), vW2(k2))
       k2 += 1
     }

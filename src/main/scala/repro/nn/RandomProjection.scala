@@ -66,11 +66,4 @@ final class RandomProjection(val dim: Int, val buckets: Int, seed: Long) extends
     if (norm > 0) { var i = 0; while (i < dim) { out(i) /= norm; i += 1 } }
     out
   }
-
-  def cosine(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < a.length) { s += a(i) * b(i); i += 1 }
-    s
-  }
 }

@@ -70,19 +70,16 @@ object Embeddings {
     l2(ctx).map(_ * weight)
   }
 
-  /** Embedding of one column: sketch blocks + table context + optional
-    * value embedding (§6.3).
+  /** Embedding of one column: sketch blocks + table context + value
+    * embedding (§6.3).
     */
-  def column(c: ColumnSketch, values: Seq[String], context: Array[Double] = Array.empty,
-             withValues: Boolean = true): Array[Double] = {
+  def column(c: ColumnSketch, values: Seq[String], context: Array[Double] = Array.empty): Array[Double] = {
     val mh  = signBlock(c.valueMinHash, c.valueMinHash.length, weight = 1.0)
     val tok = signBlock(c.tokenMinHash, MinHash.DefaultK, weight = 0.6)
     val num = numericBlock(c, weight = 0.6)
     val hdr = l2(valueEmbedder.embed(Tokenizer.tokenize(c.name))).map(_ * 0.4)
     val ctx = if (context.isEmpty) new Array[Double](MinHash.DefaultK) else context
-    val vals =
-      if (withValues) l2(valueEmbedder.embed(values.take(100).flatMap(Tokenizer.tokenize))).map(_ * 0.9)
-      else Array.fill(valueEmbedder.dim)(0.0)
+    val vals = l2(valueEmbedder.embed(values.take(100).flatMap(Tokenizer.tokenize))).map(_ * 0.9)
     l2(mh ++ tok ++ num ++ hdr ++ ctx ++ vals)
   }
 
@@ -90,9 +87,9 @@ object Embeddings {
     * a content-snapshot block and a header-token block (column-name tokens
     * are first-class inputs to the model, §3).
     */
-  def table(s: TableSketch, t: LakeTable, withValues: Boolean = true): Array[Double] = {
+  def table(s: TableSketch, t: LakeTable): Array[Double] = {
     val ctx  = tableContext(s)
-    val cols = s.columns.map(c => column(c, t.column(c.position).filter(_ != null), ctx, withValues))
+    val cols = s.columns.map(c => column(c, t.column(c.position).filter(_ != null), ctx))
     val dim  = cols.headOption.fold(columnDim)(_.length)
     val mean = new Array[Double](dim)
     cols.foreach { e => var i = 0; while (i < dim) { mean(i) += e(i) / cols.size; i += 1 } }
@@ -106,14 +103,4 @@ object Embeddings {
     */
   private lazy val columnDim: Int =
     column(TableSketcher.sketchColumn("", 0, Seq.empty), Seq.empty).length
-
-  /** Dot product over the common prefix, summed in index order; the
-    * cosine of two unit-norm embeddings.
-    */
-  def cosine(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    val n = math.min(a.length, b.length)
-    while (i < n) { s += a(i) * b(i); i += 1 }
-    s
-  }
 }

@@ -4,7 +4,7 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.core.{MinHash, Parallel, TableSketch}
+import repro.core.{MinHash, Parallel, Similarity, TableSketch, Tokenizer}
 import repro.lake.LakeTable
 import repro.lakebench.WikiLake
 
@@ -63,7 +63,7 @@ object JoinSearch {
       cols.foreach { c =>
         qVecs.indices.foreach { qi =>
           val (qTable, vecs) = qVecs(qi)
-          if (c.tableId != qTable) vecs.foreach(v => keepMax(best(qi), c.tableId, Embeddings.cosine(v, c.emb)))
+          if (c.tableId != qTable) vecs.foreach(v => keepMax(best(qi), c.tableId, Similarity.cosine(v, c.emb)))
         }
       }
       qVecs.indices.iterator.flatMap(qi => topK(best(qi), k).map { case (t, s) => (qVecs(qi)._1, t, s) })
@@ -99,19 +99,17 @@ object JoinSearch {
       tables.map { case (id, t) => id -> t.columnNames.indices.map(i => t.column(i).filter(_ != null).toSet) }
     queries.map { case (qt, qc) =>
       val qSet = colSets(qt)(qc)
-      val ranked = tables.keys.filter(c => c != qt && colSets(c).nonEmpty).map { cand =>
-        val best = colSets(cand).map(s => s.intersect(qSet).size).max
-        (cand, best)
-      }.toSeq.sortBy { case (id, s) => (-s, id) }
-      qt -> ranked.takeWhile(_._2 > 0).take(k).map(_._1)
+      val overlaps = tables.keys.filter(c => c != qt && colSets(c).nonEmpty)
+        .map(cand => cand -> colSets(cand).map(s => s.intersect(qSet).size).max.toDouble)
+      qt -> Ranking.top(overlaps.filter(_._2 > 0), k)
     }.toMap
   }
 
-  /** LSHForest-lite: candidates sharing a MinHash band, ranked by the
-    * estimated Jaccard of the best-matching column.
+  /** LSHForest-lite: candidates sharing a MinHash band of 4 slots, ranked
+    * by the estimated Jaccard of the best-matching column.
     */
-  def searchLsh(sketches: Map[String, TableSketch], queries: Seq[(String, Int)], k: Int,
-                rowsPerBand: Int = 4): Map[String, Seq[String]] = {
+  def searchLsh(sketches: Map[String, TableSketch], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
+    val rowsPerBand = 4
     val index: Map[Long, Seq[(String, Int)]] =
       sketches.values.flatMap { s =>
         s.columns.flatMap(c => MinHash.bandKeys(c.valueMinHash, rowsPerBand).map(b => b -> (s.tableId, c.position)))
@@ -120,11 +118,10 @@ object JoinSearch {
       val qSig = sketches(qt).columns(qc).valueMinHash
       val cands = MinHash.bandKeys(qSig, rowsPerBand).flatMap(index.getOrElse(_, Seq.empty))
         .filter(_._1 != qt).distinct
-      val ranked = cands.map { case (ct, cc) =>
+      val best = cands.map { case (ct, cc) =>
         (ct, MinHash.jaccard(qSig, sketches(ct).columns(cc).valueMinHash))
-      }.groupBy(_._1).view.mapValues(_.map(_._2).max).toSeq
-        .sortBy { case (id, j) => (-j, id) }
-      qt -> ranked.take(k).map(_._1)
+      }.groupBy(_._1).view.mapValues(_.map(_._2).max)
+      qt -> Ranking.top(best.toSeq, k)
     }.toMap
   }
 
@@ -134,16 +131,12 @@ object JoinSearch {
   def searchEmbedJoin(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
     val embs: Map[String, Seq[Array[Double]]] = Parallel.map(tables.toSeq) { case (id, t) =>
       id -> t.columnNames.indices.map { i =>
-        Embeddings.valueEmbedder.embed(
-          t.column(i).filter(_ != null).take(100).flatMap(repro.core.Tokenizer.tokenize))
+        Embeddings.valueEmbedder.embed(t.column(i).filter(_ != null).take(100).flatMap(Tokenizer.tokenize))
       }
     }.toMap
     queries.map { case (qt, qc) =>
       val q = embs(qt)(qc)
-      val ranked = tables.keys.filter(c => c != qt && embs(c).nonEmpty).map { cand =>
-        (cand, embs(cand).map(e => Embeddings.cosine(q, e)).max)
-      }.toSeq.sortBy { case (id, c) => (-c, id) }
-      qt -> ranked.take(k).map(_._1)
+      qt -> Ranking.lake(tables.keys, qt, k)(embs(_).nonEmpty)(c => embs(c).map(Similarity.cosine(q, _)).max)
     }.toMap
   }
 

@@ -1,7 +1,9 @@
 package repro.search
 
-import repro.core.{MinHash, Parallel, TableSketch, Tokenizer}
+import repro.core.{ColumnSketch, MinHash, Parallel, Similarity, TableSketch, Tokenizer}
+import repro.core.Similarity.{bestMatch, relDiff}
 import repro.lake.LakeTable
+import repro.nn.Metrics
 
 /** Union search (§6.3.2, Fig. 9–10): given a query table, retrieve
   * unionable data-lake tables. Ranking methods:
@@ -19,66 +21,47 @@ import repro.lake.LakeTable
   */
 object UnionSearch {
 
-  /** Rank the lake for one query by a table-level score function. */
-  private def rank(corpus: Map[String, LakeTable], query: String, k: Int,
-                   score: (String, String) => Double): Seq[String] =
-    corpus.keys.filter(c => c != query && corpus(c).numCols > 0).map(c => (c, score(query, c))).toSeq
-      .sortBy { case (id, s) => (-s, id) }.take(k).map(_._1)
-
   def searchEmbeddings(sketches: Map[String, TableSketch], tables: Map[String, LakeTable],
                        queries: Seq[String], k: Int): Map[String, Seq[String]] = {
     val embs = Parallel.map(tables.keys.toSeq)(id =>
       id -> Embeddings.table(sketches(id), tables(id))).toMap
-    queries.map(q => q -> rank(tables, q, k, (a, b) => Embeddings.cosine(embs(a), embs(b)))).toMap
+    queries.map(q => q -> Ranking.lake(tables.keys, q, k)(tables(_).numCols > 0)(c =>
+      Similarity.cosine(embs(q), embs(c)))).toMap
   }
 
-  /** D3L-lite: average of five evidence types over best-aligned columns. */
-  def searchD3L(sketches: Map[String, TableSketch], queries: Seq[String], k: Int): Map[String, Seq[String]] = {
-    def colScore(a: repro.core.ColumnSketch, b: repro.core.ColumnSketch): Double = {
-      val value  = MinHash.jaccard(a.valueMinHash, b.valueMinHash)
-      val header = Tokenizer.jaccard(Tokenizer.tokenize(a.name).toSet, Tokenizer.tokenize(b.name).toSet)
-      val token  = if (a.tokenMinHash.nonEmpty && b.tokenMinHash.nonEmpty)
-                     MinHash.jaccard(a.tokenMinHash, b.tokenMinHash) else 0.0
-      val numeric =
-        if (a.isNumeric && b.isNumeric) {
-          val d = math.abs(a.numeric(0) - b.numeric(0)) /
-            math.max(math.abs(a.numeric(0)), math.max(math.abs(b.numeric(0)), 1e-9))
-          math.max(0.0, 1.0 - math.min(1.0, d))
-        } else 0.0
-      val format = 1.0 - math.min(1.0, math.abs(a.avgWidth - b.avgWidth) /
-        math.max(1.0, math.max(a.avgWidth, b.avgWidth)))
-      (value + header + token + numeric + format) / 5.0
-    }
-    def tableScore(a: TableSketch, b: TableSketch): Double =
-      if (a.columns.isEmpty || b.columns.isEmpty) 0.0
-      else a.columns.map(ca => b.columns.map(cb => colScore(ca, cb)).max).sum / a.columns.size
+  /** Rank the lake for each query by the mean, over the query's columns,
+    * of each column's best `colScore` against the candidate's columns.
+    */
+  private def searchByColumns(sketches: Map[String, TableSketch], queries: Seq[String], k: Int)
+                             (colScore: (ColumnSketch, ColumnSketch) => Double): Map[String, Seq[String]] =
     queries.map { q =>
-      q -> sketches.keys.filter(c => c != q && sketches(c).columns.nonEmpty)
-        .map(c => (c, tableScore(sketches(q), sketches(c)))).toSeq
-        .sortBy { case (id, s) => (-s, id) }.take(k).map(_._1).toSeq
+      q -> Ranking.lake(sketches.keys, q, k)(sketches(_).columns.nonEmpty)(c =>
+        Metrics.mean(bestMatch(sketches(q).columns, sketches(c).columns)(colScore)))
     }.toMap
-  }
+
+  private def headerJaccard(a: ColumnSketch, b: ColumnSketch): Double =
+    Tokenizer.jaccard(Tokenizer.tokenize(a.name).toSet, Tokenizer.tokenize(b.name).toSet)
+
+  private def tokenJaccard(a: ColumnSketch, b: ColumnSketch): Double =
+    if (a.tokenMinHash.nonEmpty && b.tokenMinHash.nonEmpty) MinHash.jaccard(a.tokenMinHash, b.tokenMinHash) else 0.0
+
+  /** D3L-lite: average of five evidence types over best-aligned columns. */
+  def searchD3L(sketches: Map[String, TableSketch], queries: Seq[String], k: Int): Map[String, Seq[String]] =
+    searchByColumns(sketches, queries, k) { (a, b) =>
+      val value   = MinHash.jaccard(a.valueMinHash, b.valueMinHash)
+      val numeric = if (a.isNumeric && b.isNumeric) math.max(0.0, 1.0 - relDiff(a.numeric(0), b.numeric(0))) else 0.0
+      val format  = 1.0 - math.min(1.0, math.abs(a.avgWidth - b.avgWidth) /
+        math.max(1.0, math.max(a.avgWidth, b.avgWidth)))
+      (value + headerJaccard(a, b) + tokenJaccard(a, b) + numeric + format) / 5.0
+    }
 
   /** SANTOS-lite: columns agree when header tokens AND value/token
     * evidence agree (relationship-preserving semantic match).
     */
-  def searchSantos(sketches: Map[String, TableSketch], queries: Seq[String], k: Int): Map[String, Seq[String]] = {
-    def colScore(a: repro.core.ColumnSketch, b: repro.core.ColumnSketch): Double = {
-      val header = Tokenizer.jaccard(Tokenizer.tokenize(a.name).toSet, Tokenizer.tokenize(b.name).toSet)
-      val value  = math.max(MinHash.jaccard(a.valueMinHash, b.valueMinHash),
-        if (a.tokenMinHash.nonEmpty && b.tokenMinHash.nonEmpty)
-          MinHash.jaccard(a.tokenMinHash, b.tokenMinHash) else 0.0)
-      header * (0.3 + 0.7 * value)
+  def searchSantos(sketches: Map[String, TableSketch], queries: Seq[String], k: Int): Map[String, Seq[String]] =
+    searchByColumns(sketches, queries, k) { (a, b) =>
+      headerJaccard(a, b) * (0.3 + 0.7 * math.max(MinHash.jaccard(a.valueMinHash, b.valueMinHash), tokenJaccard(a, b)))
     }
-    def tableScore(a: TableSketch, b: TableSketch): Double =
-      if (a.columns.isEmpty || b.columns.isEmpty) 0.0
-      else a.columns.map(ca => b.columns.map(cb => colScore(ca, cb)).max).sum / a.columns.size
-    queries.map { q =>
-      q -> sketches.keys.filter(c => c != q && sketches(c).columns.nonEmpty)
-        .map(c => (c, tableScore(sketches(q), sketches(c)))).toSeq
-        .sortBy { case (id, s) => (-s, id) }.take(k).map(_._1).toSeq
-    }.toMap
-  }
 
   /** Starmie-lite: greedy maximum bipartite matching on per-column value
     * embeddings; table score = mean matched cosine scaled by coverage.
@@ -93,7 +76,7 @@ object UnionSearch {
     }.toMap
     def tableScore(a: Seq[Array[Double]], b: Seq[Array[Double]]): Double = {
       val edges = (for { (ea, i) <- a.zipWithIndex; (eb, j) <- b.zipWithIndex }
-        yield (i, j, Embeddings.cosine(ea, eb))).sortBy(-_._3)
+        yield (i, j, Similarity.cosine(ea, eb))).sortBy(-_._3)
       val usedA = collection.mutable.Set.empty[Int]
       val usedB = collection.mutable.Set.empty[Int]
       var total = 0.0
@@ -102,9 +85,6 @@ object UnionSearch {
       }
       total / math.max(a.size, 1)
     }
-    queries.map { q =>
-      q -> tables.keys.filter(c => c != q && embs(c).nonEmpty).map(c => (c, tableScore(embs(q), embs(c)))).toSeq
-        .sortBy { case (id, s) => (-s, id) }.take(k).map(_._1).toSeq
-    }.toMap
+    queries.map(q => q -> Ranking.lake(tables.keys, q, k)(embs(_).nonEmpty)(c => tableScore(embs(q), embs(c)))).toMap
   }
 }

@@ -8,8 +8,9 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Layering guard over the main sources (DESIGN §4): the substrates
   * (`core`, `lake`, `nn`) use no code from `models`, `search` or `report`,
-  * and `search` uses none from `models`. An import and a fully qualified
-  * name both count as a use; comments do not.
+  * `core` and `lake` use none from `nn`, and `search` uses none from
+  * `models`. An import and a fully qualified name both count as a use;
+  * comments do not.
   */
 class LayeringSpec extends AnyFunSuite {
 
@@ -20,6 +21,8 @@ class LayeringSpec extends AnyFunSuite {
     "lake"   -> Seq("models", "search", "report"),
     "nn"     -> Seq("models", "search", "report"),
     "search" -> Seq("models"),
+    "core"   -> Seq("nn"),
+    "lake"   -> Seq("nn"),
   )
 
   /** The packages among `layers` that Scala source `src` uses outside its

@@ -48,6 +48,26 @@ class MinHashSpec extends AnyFunSuite {
     assert(math.abs(est - 1.0 / 3) < 0.12, s"estimate $est too far from 1/3")
   }
 
+  test("mean jaccard error over random set pairs stays within 1/sqrt(k) for k = 16, 64, 256") {
+    // One case: 30 set pairs of 1-150 elements with a known overlap, named
+    // with a fresh salt so every case hashes different strings.
+    val pair = for {
+      salt   <- Gen.choose(0, Int.MaxValue)
+      n1     <- Gen.choose(1, 150)
+      n2     <- Gen.choose(1, 150)
+      shared <- Gen.choose(0, math.min(n1, n2))
+    } yield {
+      val a = (0 until n1).map(i => s"$salt-$i")
+      val b = (n1 - shared until n1 - shared + n2).map(i => s"$salt-$i")
+      (a, b, shared.toDouble / (n1 + n2 - shared))
+    }
+    PropCheck.check(Prop.forAllNoShrink(Gen.oneOf(16, 64, 256), Gen.listOfN(30, pair)) { (k, pairs) =>
+      val m = MinHash(k)
+      val err = pairs.map { case (a, b, j) => math.abs(MinHash.jaccard(m.signature(a), m.signature(b)) - j) }
+      err.sum / err.size <= 1.0 / math.sqrt(k.toDouble)
+    }, minSuccessful = 30)
+  }
+
   test("jaccard of empty vs anything is 0") {
     val e = mh.signature(Seq.empty)
     val s = mh.signature(Seq("a"))

@@ -33,11 +33,6 @@ class BenchmarkSpec extends AnyFunSuite {
     assert(tr.isEmpty && va.isEmpty && te.isEmpty)
   }
 
-  test("custom fractions are honored") {
-    val (tr, va, te) = Benchmark.split(pairs(100), seed = 6, trainFrac = 0.5, validFrac = 0.25)
-    assert(tr.size == 50 && va.size == 25 && te.size == 25)
-  }
-
   test("tableId produces ids of the requested length and charset") {
     val rng = new scala.util.Random(7)
     val id = Benchmark.tableId(rng)

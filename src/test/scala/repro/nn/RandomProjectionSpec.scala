@@ -6,7 +6,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropCheck
-import repro.core.Tokenizer
+import repro.core.{Similarity, Tokenizer}
 
 class RandomProjectionSpec extends AnyFunSuite {
 
@@ -34,12 +34,12 @@ class RandomProjectionSpec extends AnyFunSuite {
     val near = base.drop(5) ++ Seq("extra1", "extra2")
     val far  = (1 to 100).map(i => s"other$i")
     val e0 = rp.embed(base); val e1 = rp.embed(near); val e2 = rp.embed(far)
-    assert(rp.cosine(e0, e1) > rp.cosine(e0, e2) + 0.3)
+    assert(Similarity.cosine(e0, e1) > Similarity.cosine(e0, e2) + 0.3)
   }
 
   test("cosine of an embedding with itself is 1") {
     val e = rp.embed(Seq("p", "q"))
-    assert(math.abs(rp.cosine(e, e) - 1.0) < 1e-9)
+    assert(math.abs(Similarity.cosine(e, e) - 1.0) < 1e-9)
   }
 
   /** The dense row-major product: the matrix drawn as `fill(dim, buckets)`,

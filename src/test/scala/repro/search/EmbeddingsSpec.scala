@@ -2,7 +2,7 @@ package repro.search
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.TableSketcher
+import repro.core.{Similarity, TableSketcher}
 import repro.lake.LakeTable
 
 /** Pure (no SparkSession) properties of the search embeddings. */
@@ -34,7 +34,7 @@ class EmbeddingsSpec extends AnyFunSuite {
     val t = LakeTable("c", "", Seq("city", "pop"), (1 to 40).map(i => Seq(s"Riverdale $i", (1000 + i).toString)))
     val str = Embeddings.column(cities.columns(0), t.column(0))
     val num = Embeddings.column(cities.columns(1), t.column(1))
-    assert(Embeddings.cosine(str, num) < 0.5)
+    assert(Similarity.cosine(str, num) < 0.5)
   }
 
   test("value-overlapping columns beat disjoint ones") {
@@ -44,7 +44,7 @@ class EmbeddingsSpec extends AnyFunSuite {
     val e1 = Embeddings.column(TableSketcher.sketch(t1).columns(0), t1.column(0))
     val e2 = Embeddings.column(TableSketcher.sketch(t2).columns(0), t2.column(0))
     val e3 = Embeddings.column(TableSketcher.sketch(t3).columns(0), t3.column(0))
-    assert(Embeddings.cosine(e1, e2) > Embeddings.cosine(e1, e3))
+    assert(Similarity.cosine(e1, e2) > Similarity.cosine(e1, e3))
   }
 
   test("tableContext is unit-scaled and shared-lexicon tables are closer") {
@@ -69,7 +69,7 @@ class EmbeddingsSpec extends AnyFunSuite {
         (lo to lo + 30).map(i => Seq(s"$name-$i", (i * 2).toString)))
     val a = mk("a", "vessel", 1); val b = mk("b", "vessel", 20); val c = mk("c", "permit", 1)
     def emb(t: LakeTable) = Embeddings.table(TableSketcher.sketch(t), t)
-    assert(Embeddings.cosine(emb(a), emb(b)) > Embeddings.cosine(emb(a), emb(c)))
+    assert(Similarity.cosine(emb(a), emb(b)) > Similarity.cosine(emb(a), emb(c)))
   }
 
   test("a zero-column table embeds to the usual length") {
@@ -78,14 +78,5 @@ class EmbeddingsSpec extends AnyFunSuite {
     val e = Embeddings.table(TableSketcher.sketch(empty), empty)
     assert(e.length == Embeddings.table(TableSketcher.sketch(t), t).length)
     assert(e.forall(v => !v.isNaN))
-  }
-
-  test("withValues=false zeroes the value block but keeps dimensions") {
-    val t = LakeTable("c", "", Seq("city"), (1 to 10).map(i => Seq(s"c$i")))
-    val s = TableSketcher.sketch(t)
-    val w = Embeddings.column(s.columns(0), t.column(0), withValues = true)
-    val wo = Embeddings.column(s.columns(0), t.column(0), withValues = false)
-    assert(w.length == wo.length)
-    assert(!w.sameElements(wo))
   }
 }

@@ -3,7 +3,7 @@ package repro.search
 import org.apache.spark.sql.functions.{col, lit}
 
 import repro.SparkSpec
-import repro.core.TableSketcher
+import repro.core.{Similarity, TableSketcher}
 import repro.lake.LakeTable
 import repro.lakebench.WikiLake
 import repro.nn.Metrics
@@ -35,7 +35,7 @@ class SearchSpec extends SparkSpec {
       val other = lake.tables.find(_.classIdx != a.classIdx).get
       val eb = Embeddings.column(sketches(b.table.id).columns.head, b.table.column(0))
       val eo = Embeddings.column(sketches(other.table.id).columns.head, other.table.column(0))
-      assert(Embeddings.cosine(ea, eb) > Embeddings.cosine(ea, eo),
+      assert(Similarity.cosine(ea, eb) > Similarity.cosine(ea, eo),
         "same-class entity columns must be closer than cross-class")
     }
   }
