@@ -67,7 +67,7 @@ object TableSketcher {
 
   def sketchColumn(name: String, position: Int, values: Seq[String]): ColumnSketch = {
     val t        = TypeInference.infer(values)
-    val nonNull  = values.filter(v => v != null && v.trim.nonEmpty)
+    val nonNull  = values.filterNot(LakeTable.isMissing)
     val distinct = nonNull.distinct
     val widths   = if (nonNull.isEmpty) 0.0 else nonNull.map(_.length).sum.toDouble / nonNull.size
     val numeric =

@@ -27,15 +27,6 @@ object Tokenizer {
   def bag(tokens: Iterable[String]): Map[String, Int] =
     tokens.groupBy(identity).map { case (t, ts) => (t, ts.size) }
 
-  /** Cosine similarity between two token bags (0 when either is empty). */
-  def cosine(a: Map[String, Int], b: Map[String, Int]): Double = {
-    if (a.isEmpty || b.isEmpty) return 0.0
-    val dot = a.iterator.map { case (t, c) => c.toDouble * b.getOrElse(t, 0) }.sum
-    val na  = math.sqrt(a.valuesIterator.map(c => c.toDouble * c).sum)
-    val nb  = math.sqrt(b.valuesIterator.map(c => c.toDouble * c).sum)
-    if (na == 0 || nb == 0) 0.0 else dot / (na * nb)
-  }
-
   /** Jaccard over token *sets* (headers, descriptions). */
   def jaccard(a: Set[String], b: Set[String]): Double =
     if (a.isEmpty && b.isEmpty) 0.0

@@ -1,7 +1,9 @@
 package repro.core
 
+import repro.lake.LakeTable
+
 /** Column type inference, mirroring the paper's Column Type Embedding
-  * (§3, item 4): best-effort parse of the first 10 non-null values as
+  * (§3, item 4): best-effort parse of the first 10 non-missing values as
   * date, integer, or float; default to string.
   */
 object TypeInference {
@@ -43,9 +45,9 @@ object TypeInference {
       if (java.lang.Double.isFinite(d)) Some(d) else None
     } catch { case _: NumberFormatException => None }
 
-  /** Infer the type of a column from (up to) its first 10 non-null values. */
+  /** Infer the type of a column from (up to) its first 10 non-missing values. */
   def infer(values: Iterable[String]): ColType = {
-    val sample = values.iterator.filter(v => v != null && v.trim.nonEmpty).take(10).toSeq
+    val sample = values.iterator.filterNot(LakeTable.isMissing).take(10).toSeq
     if (sample.isEmpty) StringT
     else if (sample.forall(parseDate(_).isDefined)) DateT
     else if (sample.forall(parseLong(_).isDefined)) IntT

@@ -55,7 +55,8 @@ case class SketchFeaturizer(mask: SketchMask = SketchMask.all, label: String = "
 /** Trainable value-based baselines (TaBERT, TUTA) and the headers-only
   * Vanilla BERT: header features + (optionally) mean-pooled value-bag
   * cosines over the model's input window + (TUTA only) numeric-structure
-  * features.
+  * features. A finetuned encoder sees both headers, so the header block is
+  * the sketch model's ([[PairFeatures.headerFeatures]]).
   */
 case class ValueModelFeaturizer(
     name: String,
@@ -71,7 +72,7 @@ case class ValueModelFeaturizer(
     }
     (a, b) => {
       val (va, vb) = (views(a), views(b))
-      val h = ValueFeaturizer.headerFeatures(va, vb)
+      val h = PairFeatures.headerFeatures(va.header, vb.header)
       val v = if (useValues) ValueFeaturizer.valueFeatures(va, vb) else Array.empty[Double]
       val n = if (useNumeric) ValueFeaturizer.numericFeatures(va, vb) else Array.empty[Double]
       h ++ v ++ n
@@ -84,13 +85,13 @@ case class ValueModelFeaturizer(
   * the two embeddings concatenated — it alone must learn any notion of
   * similarity, which is exactly the frozen-encoder handicap of §6.1.1.
   */
-case class FrozenFeaturizer(name: String, budget: ValueFeaturizer.Budget, seed: Long, dim: Int = 16)
+case class FrozenFeaturizer(name: String, budget: ValueFeaturizer.Budget, seed: Long)
     extends PairFeaturizer {
 
   def prepare(spark: SparkSession, tables: Map[String, LakeTable]): (String, String) => Array[Double] = {
-    // Few buckets -> heavy hash collisions: a frozen encoder's lossy,
-    // task-agnostic view of the serialized table.
-    val rp = new RandomProjection(dim, 96, seed)
+    // 16 dims over few buckets -> heavy hash collisions: a frozen encoder's
+    // lossy, task-agnostic view of the serialized table.
+    val rp = new RandomProjection(16, 96, seed)
     val embs = RepCache.getOrCompute(tables, s"frozen-$name") {
       val b = budget
       Parallel.map(tables.values.toSeq) { t =>

@@ -8,8 +8,8 @@ import repro.nn.{Metrics, Mlp}
 
 /** Train/eval harness for one (featurizer, benchmark) pair: featurize the
   * three splits, train the MLP head with early stopping on the validation
-  * split (patience 20, see [[repro.nn.Mlp.Config]]), and compute the paper's
-  * metric on test — weighted F1 for classification, R² for regression.
+  * split (see [[repro.nn.Mlp]]), and compute the paper's metric on test —
+  * weighted F1 for classification, R² for regression.
   */
 object Runner {
 
@@ -38,9 +38,7 @@ object Runner {
       case RegressionTask      => Mlp.Regression
       case MultiLabelTask(ls)  => Mlp.MultiLabel(ls.size)
     }
-    val cfg = Mlp.Config(seed = seed, epochs = 300, patience = 20)
-    val m = Mlp.train(mlpTask, fs.xTrain, fs.yTrain, fs.xValid, fs.yValid, cfg)
-    val preds = m.predictAll(fs.xTest)
+    val preds = Mlp.train(mlpTask, fs.xTrain, fs.yTrain, fs.xValid, fs.yValid, seed).predictAll(fs.xTest)
     task match {
       case BinaryTask =>
         Metrics.weightedF1(fs.yTest.map(_(0).round.toInt).toSeq, preds.map(p => if (p(0) > 0.5) 1 else 0).toSeq)

@@ -21,17 +21,14 @@ case class ValueView(
     colStats: Seq[Array[Double]], // [mean, min, max] over visible parsed numerics; NaN when none
 )
 
-/** The fixed "encoder geometry" for value-based baselines: one shared
-  * JL projection for column bags. 48 dims ≈ cosine distortion of ~0.14,
-  * the finite-capacity lossiness of a pooled transformer embedding.
-  */
-object ColumnEmbedder {
-  private val proj = new RandomProjection(dim = 48, buckets = 512, seed = 77)
-  def embedCounts(bag: Map[String, Int]): Array[Double] = proj.embedCounts(bag)
-}
-
 object ValueFeaturizer {
   import PairFeatures._
+
+  /** The fixed "encoder geometry" for value-based baselines: one shared
+    * JL projection for column bags. 48 dims ≈ cosine distortion of ~0.14,
+    * the finite-capacity lossiness of a pooled transformer embedding.
+    */
+  private val columnEmbedder = new RandomProjection(dim = 48, buckets = 512, seed = 77)
 
   /** Input budget of one baseline. ``maxTokens`` caps the row-major
     * serialization (headers first, as the models do); 0 = no token cap.
@@ -119,16 +116,9 @@ object ValueFeaturizer {
     ValueView(Header((0 until cols).map(i => t.columnNames(i).toLowerCase), headerTokenSets, descTokens,
                      t.numRows.toLong, t.numCols),
               colBags, tableBag,
-              colBags.map(ColumnEmbedder.embedCounts), ColumnEmbedder.embedCounts(tableBag),
+              colBags.map(columnEmbedder.embedCounts), columnEmbedder.embedCounts(tableBag),
               colStats)
   }
-
-  /** The header block of [[PairFeatures]]: a finetuned encoder sees both
-    * headers, so its analogue gets the same header and shared-name signal
-    * as the sketch model.
-    */
-  def headerFeatures(a: ValueView, b: ValueView): Array[Double] =
-    PairFeatures.headerFeatures(a.header, b.header)
 
   val ValueDim: Int = 6 + SharedSlots
   val NumDim         = 3

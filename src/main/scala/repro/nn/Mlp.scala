@@ -11,7 +11,8 @@ import scala.util.Random
   *  - [[Mlp.MultiLabel]]  per-label sigmoid + BCE (ECB Join)
   *
   * Inputs are standardized with train-set statistics. Training early-stops
-  * on validation loss; see [[Mlp.Config]] for the patience.
+  * on validation loss. Every experiment trains with the one setting below;
+  * only the seed varies.
   */
 object Mlp {
   sealed trait Task
@@ -20,53 +21,40 @@ object Mlp {
   /** nLabels independent sigmoid outputs. */
   case class MultiLabel(nLabels: Int) extends Task
 
-  /** Training hyper-parameters (the optimizer settings are the constants
-    * below).
-    *
-    * `patience` is the number of epochs without a validation-loss gain
-    * that ends training. The paper finetunes with patience 5 (§6), and 5 is
-    * the default here, but every paper experiment trains with 20
-    * ([[repro.models.Runner.trainEval]]). One epoch here is one pass over
-    * 1–3k training pairs, about 20–50 Adam steps at batch 64, and the
-    * validation split is 10% of the pairs, so its loss is noisy from epoch
-    * to epoch; 20 lets the head train through that noise. Every number in
-    * EXPERIMENTS.md was produced with 20.
-    */
-  case class Config(
-      hidden: Int = 32,
-      epochs: Int = 300,
-      patience: Int = 5,
-      seed: Long = 0,
-  )
-
   // Adam step size, mini-batch size and L2 weight decay of every experiment.
   private val Lr: Double     = 5e-3
   private val BatchSize: Int = 64
   private val L2: Double     = 1e-5
+  // Hidden ReLU units (a multiple of 4, see `forward`), the epoch cap, and
+  // the epochs without a validation-loss gain that end training. The paper
+  // finetunes with patience 5 (§6), but one epoch here is only 20–50 Adam
+  // steps and the 10% validation split is noisy, so every experiment waits 20.
+  private val Hidden: Int    = 32
+  private val MaxEpochs: Int = 300
+  private val Patience: Int  = 20
 
-  /** Train on (features, labels); labels row length is 1 except MultiLabel. */
+  /** Train on (features, labels) from the weights and shuffles that `seed`
+    * draws; labels row length is 1 except MultiLabel.
+    */
   def train(task: Task,
             xTrain: Array[Array[Double]], yTrain: Array[Array[Double]],
             xValid: Array[Array[Double]], yValid: Array[Array[Double]],
-            config: Config = Config()): Mlp = {
+            seed: Long): Mlp = {
     require(xTrain.nonEmpty, "empty training set")
-    val m = new Mlp(task, xTrain.head.length, config)
+    val m = new Mlp(task, xTrain.head.length, seed)
     m.fit(xTrain, yTrain, xValid, yValid)
     m
   }
 }
 
-final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
+final class Mlp private (val task: Mlp.Task, val nIn: Int, seed: Long) {
   import Mlp._
 
-  private val nOut: Int = task match {
-    case MultiLabel(n) => n
-    case _             => 1
-  }
-  private val nHid = cfg.hidden
+  private val nOut: Int = task match { case MultiLabel(n) => n; case _ => 1 }
+  private val nHid = Hidden
 
   // Parameters: W1 (nHid x nIn), b1, W2 (nOut x nHid), b2.
-  private val rng = new Random(cfg.seed)
+  private val rng = new Random(seed)
   private val w1 = Array.fill(nHid, nIn)(rng.nextGaussian() * math.sqrt(2.0 / math.max(1, nIn)))
   private val b1 = Array.fill(nHid)(0.0)
   private val w2 = Array.fill(nOut, nHid)(rng.nextGaussian() * math.sqrt(2.0 / nHid))
@@ -109,13 +97,14 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
   }
 
   /** Forward pass on a standardized input; returns (hidden, output).
-    * Hidden units are computed 4 per sweep over ``z``; each still sums
-    * ``b1(j) + Σ_i w1(j)(i) · z(i)`` in ascending ``i``.
+    * Hidden units are computed 4 per sweep over ``z`` (``nHid`` is a
+    * multiple of 4); each still sums ``b1(j) + Σ_i w1(j)(i) · z(i)`` in
+    * ascending ``i``.
     */
   private def forward(z: Array[Double]): (Array[Double], Array[Double]) = {
     val h = new Array[Double](nHid)
     var j = 0
-    while (j + 4 <= nHid) {
+    while (j < nHid) {
       val r0 = w1(j); val r1 = w1(j + 1); val r2 = w1(j + 2); val r3 = w1(j + 3)
       var s0 = b1(j); var s1 = b1(j + 1); var s2 = b1(j + 2); var s3 = b1(j + 3)
       var i = 0
@@ -126,14 +115,6 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
       }
       h(j) = relu(s0); h(j + 1) = relu(s1); h(j + 2) = relu(s2); h(j + 3) = relu(s3)
       j += 4
-    }
-    while (j < nHid) {
-      var s = b1(j)
-      val row = w1(j)
-      var i = 0
-      while (i < nIn) { s += row(i) * z(i); i += 1 }
-      h(j) = relu(s)
-      j += 1
     }
     val o = new Array[Double](nOut)
     var k = 0
@@ -180,20 +161,26 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
     total / math.max(1, n)
   }
 
-  private def adam(p: Array[Double], g: Array[Double], m: Array[Double], v: Array[Double]): Unit = {
+  /** One Adam step on `p` from `g`, the gradient summed over a batch of
+    * `bs` rows: the step takes the batch mean, plus the L2 term when
+    * `decay` (weights, not biases).
+    */
+  private def adam(p: Array[Double], g: Array[Double], m: Array[Double], v: Array[Double],
+                   bs: Int, decay: Boolean): Unit = {
     val b1c = 1 - math.pow(0.9, adamT)
     val b2c = 1 - math.pow(0.999, adamT)
     var i = 0
     while (i < p.length) {
-      m(i) = 0.9 * m(i) + 0.1 * g(i)
-      v(i) = 0.999 * v(i) + 0.001 * g(i) * g(i)
+      val gi = if (decay) g(i) / bs + L2 * p(i) else g(i) / bs
+      m(i) = 0.9 * m(i) + 0.1 * gi
+      v(i) = 0.999 * v(i) + 0.001 * gi * gi
       p(i) -= Lr * (m(i) / b1c) / (math.sqrt(v(i) / b2c) + 1e-8)
       i += 1
     }
   }
 
-  def fit(xTrain: Array[Array[Double]], yTrain: Array[Array[Double]],
-          xValid: Array[Array[Double]], yValid: Array[Array[Double]]): Unit = {
+  private def fit(xTrain: Array[Array[Double]], yTrain: Array[Array[Double]],
+                  xValid: Array[Array[Double]], yValid: Array[Array[Double]]): Unit = {
     fitStandardizer(xTrain)
     val z = xTrain.map(standardize)
     val (zStop, yStop) = if (xValid.nonEmpty) (xValid.map(standardize), yValid) else (z, yTrain)
@@ -204,7 +191,7 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
     var best: Option[Snapshot] = None
 
     var epoch = 0
-    while (epoch < cfg.epochs && sincBest <= cfg.patience) {
+    while (epoch < MaxEpochs && sincBest <= Patience) {
       // Fisher-Yates with the model's rng: deterministic given the seed.
       var i = n - 1
       while (i > 0) { val j = rng.nextInt(i + 1); val t = order(i); order(i) = order(j); order(j) = t; i -= 1 }
@@ -289,24 +276,10 @@ final class Mlp(val task: Mlp.Task, val nIn: Int, cfg: Mlp.Config) {
 
     adamT += 1
     var j = 0
-    while (j < nHid) {
-      var i2 = 0
-      while (i2 < nIn) { gW1(j)(i2) = gW1(j)(i2) / bs + L2 * w1(j)(i2); i2 += 1 }
-      adam(w1(j), gW1(j), mW1(j), vW1(j))
-      j += 1
-    }
-    var i3 = 0
-    while (i3 < nHid) { gB1(i3) /= bs; i3 += 1 }
-    adam(b1, gB1, mB1, vB1)
-    var k2 = 0
-    while (k2 < nOut) {
-      var j2 = 0
-      while (j2 < nHid) { gW2(k2)(j2) = gW2(k2)(j2) / bs + L2 * w2(k2)(j2); j2 += 1 }
-      adam(w2(k2), gW2(k2), mW2(k2), vW2(k2))
-      k2 += 1
-    }
-    var k3 = 0
-    while (k3 < nOut) { gB2(k3) /= bs; k3 += 1 }
-    adam(b2, gB2, mB2, vB2)
+    while (j < nHid) { adam(w1(j), gW1(j), mW1(j), vW1(j), bs, decay = true); j += 1 }
+    adam(b1, gB1, mB1, vB1, bs, decay = false)
+    var k = 0
+    while (k < nOut) { adam(w2(k), gW2(k), mW2(k), vW2(k), bs, decay = true); k += 1 }
+    adam(b2, gB2, mB2, vB2, bs, decay = false)
   }
 }

@@ -1,5 +1,6 @@
 package repro.report
 
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
 
 import repro.core.TableSketcher
@@ -30,16 +31,17 @@ object SearchReport {
     val queries = rng.shuffle(lake.tables.filter(t => JoinSearch.relevant(lake, t.table.id).nonEmpty))
       .take(nQueries).map(t => (t.table.id, 0))
 
-    val dir = java.nio.file.Files.createTempDirectory("joinsearch").toString
-    val emb = JoinSearch.embeddingsDf(spark, sketches, tables, dir)
     val kMax = Ks.max
-
-    val methods: Seq[(String, Map[String, Seq[String]])] = Seq(
-      "TabSketchFM" -> JoinSearch.searchEmbeddings(spark, emb, queries, kMax),
-      "LSHForest"   -> JoinSearch.searchLsh(sketches, queries, kMax),
-      "JOSIE"       -> JoinSearch.searchJosie(tables, queries, kMax),
-      "EmbedJoin"   -> JoinSearch.searchEmbedJoin(tables, queries, kMax),
-    )
+    val dir = java.nio.file.Files.createTempDirectory("joinsearch")
+    val methods: Seq[(String, Map[String, Seq[String]])] = try {
+      val emb = JoinSearch.embeddingsDf(spark, sketches, tables, dir.toString)
+      Seq(
+        "TabSketchFM" -> JoinSearch.searchEmbeddings(spark, emb, queries, kMax),
+        "LSHForest"   -> JoinSearch.searchLsh(sketches, queries, kMax),
+        "JOSIE"       -> JoinSearch.searchJosie(tables, queries, kMax),
+        "EmbedJoin"   -> JoinSearch.searchEmbedJoin(tables, queries, kMax),
+      )
+    } finally FileUtils.deleteDirectory(dir.toFile)
     val scores = methods.map { case (name, res) =>
       name -> Ks.map(k => Metrics.mean(queries.map { case (q, _) =>
         Metrics.f1AtK(res.getOrElse(q, Seq.empty), JoinSearch.relevant(lake, q), k)

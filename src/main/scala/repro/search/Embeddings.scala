@@ -56,18 +56,17 @@ object Embeddings {
     * each column the "what table am I in" context the paper's attention
     * layers provide — and it is exactly what pure value-overlap methods
     * lack when a foreign-key mention column collides with a subject column.
+    * The block is scaled to norm 0.45.
     */
-  def tableContext(s: TableSketch, weight: Double = 0.45): Array[Double] = {
+  def tableContext(s: TableSketch): Array[Double] = {
     val stringCols = s.columns.filter(_.tokenMinHash.nonEmpty)
     val ctx = new Array[Double](MinHash.DefaultK)
-    if (stringCols.nonEmpty) {
-      stringCols.foreach { c =>
-        val block = signBlock(c.tokenMinHash, MinHash.DefaultK, 1.0)
-        var i = 0
-        while (i < ctx.length) { ctx(i) += block(i) / stringCols.size; i += 1 }
-      }
+    stringCols.foreach { c =>
+      val block = signBlock(c.tokenMinHash, MinHash.DefaultK, 1.0)
+      var i = 0
+      while (i < ctx.length) { ctx(i) += block(i) / stringCols.size; i += 1 }
     }
-    l2(ctx).map(_ * weight)
+    l2(ctx).map(_ * 0.45)
   }
 
   /** Embedding of one column: sketch blocks + table context + value
@@ -89,7 +88,7 @@ object Embeddings {
     */
   def table(s: TableSketch, t: LakeTable): Array[Double] = {
     val ctx  = tableContext(s)
-    val cols = s.columns.map(c => column(c, t.column(c.position).filter(_ != null), ctx))
+    val cols = s.columns.map(c => column(c, t.values(c.position), ctx))
     val dim  = cols.headOption.fold(columnDim)(_.length)
     val mean = new Array[Double](dim)
     cols.foreach { e => var i = 0; while (i < dim) { mean(i) += e(i) / cols.size; i += 1 } }

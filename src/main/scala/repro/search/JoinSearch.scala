@@ -36,7 +36,7 @@ object JoinSearch {
       val t   = tables(s.tableId)
       val ctx = Embeddings.tableContext(s)
       s.columns.map(c => ColumnEmb(s.tableId, c.position,
-        Embeddings.column(c, t.column(c.position).filter(_ != null), ctx)))
+        Embeddings.column(c, t.values(c.position), ctx)))
     }.flatten
     spark.createDataset(rows).write.mode("overwrite").parquet(path)
     spark.read.parquet(path)
@@ -96,7 +96,7 @@ object JoinSearch {
     */
   def searchJosie(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
     val colSets: Map[String, Seq[Set[String]]] =
-      tables.map { case (id, t) => id -> t.columnNames.indices.map(i => t.column(i).filter(_ != null).toSet) }
+      tables.map { case (id, t) => id -> t.columnNames.indices.map(i => t.values(i).toSet) }
     queries.map { case (qt, qc) =>
       val qSet = colSets(qt)(qc)
       val overlaps = tables.keys.filter(c => c != qt && colSets(c).nonEmpty)
@@ -131,7 +131,7 @@ object JoinSearch {
   def searchEmbedJoin(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
     val embs: Map[String, Seq[Array[Double]]] = Parallel.map(tables.toSeq) { case (id, t) =>
       id -> t.columnNames.indices.map { i =>
-        Embeddings.valueEmbedder.embed(t.column(i).filter(_ != null).take(100).flatMap(Tokenizer.tokenize))
+        Embeddings.valueEmbedder.embed(t.values(i).take(100).flatMap(Tokenizer.tokenize))
       }
     }.toMap
     queries.map { case (qt, qc) =>

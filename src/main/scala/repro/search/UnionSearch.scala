@@ -71,7 +71,7 @@ object UnionSearch {
       id -> t.columnNames.indices.map { i =>
         Embeddings.valueEmbedder.embed(
           Tokenizer.tokenize(t.columnNames(i)) ++
-          t.column(i).filter(_ != null).take(60).flatMap(Tokenizer.tokenize))
+          t.values(i).take(60).flatMap(Tokenizer.tokenize))
       }
     }.toMap
     def tableScore(a: Seq[Array[Double]], b: Seq[Array[Double]]): Double = {

@@ -28,32 +28,6 @@ class TokenizerSpec extends AnyFunSuite {
     assert(Tokenizer.bag(Seq("a", "b", "a")) == Map("a" -> 2, "b" -> 1))
   }
 
-  test("cosine of a bag with itself is 1") {
-    val b = Tokenizer.bag(Seq("x", "y", "x", "z"))
-    assert(math.abs(Tokenizer.cosine(b, b) - 1.0) < 1e-12)
-  }
-
-  test("cosine of disjoint bags is 0") {
-    assert(Tokenizer.cosine(Map("a" -> 1), Map("b" -> 2)) == 0.0)
-  }
-
-  test("cosine with empty bag is 0") {
-    assert(Tokenizer.cosine(Map.empty, Map("b" -> 2)) == 0.0)
-    assert(Tokenizer.cosine(Map("b" -> 2), Map.empty) == 0.0)
-  }
-
-  test("cosine is symmetric and bounded (100 random bags)") {
-    val rng = new scala.util.Random(7)
-    (0 until 100).foreach { _ =>
-      val a = Tokenizer.bag(Seq.fill(rng.nextInt(20))(rng.nextInt(8).toString))
-      val b = Tokenizer.bag(Seq.fill(rng.nextInt(20))(rng.nextInt(8).toString))
-      val c1 = Tokenizer.cosine(a, b)
-      val c2 = Tokenizer.cosine(b, a)
-      assert(math.abs(c1 - c2) < 1e-9)
-      assert(c1 >= 0.0 && c1 <= 1.0 + 1e-9)
-    }
-  }
-
   test("jaccard basics") {
     assert(Tokenizer.jaccard(Set("a", "b"), Set("b", "c")) == 1.0 / 3)
     assert(Tokenizer.jaccard(Set.empty, Set.empty) == 0.0)

@@ -111,7 +111,8 @@ class PairFeatureBitsSpec extends SparkSpec {
     val unbounded = ValueFeaturizer.Budget(Int.MaxValue, Int.MaxValue, 0)
     for ((pairName, a, b) <- pairs) {
       val fromSketch = sketchFeatures(SketchMask.all)(a, b).take(TabSketchFm.HeaderDim)
-      val fromView = ValueFeaturizer.headerFeatures(ValueFeaturizer.view(a, unbounded), ValueFeaturizer.view(b, unbounded))
+      val fromView = PairFeatures.headerFeatures(ValueFeaturizer.view(a, unbounded).header,
+                                                 ValueFeaturizer.view(b, unbounded).header)
       assert(hex(fromSketch) == hex(fromView), pairName)
     }
   }

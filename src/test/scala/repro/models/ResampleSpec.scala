@@ -43,7 +43,11 @@ class ResampleSpec extends AnyFunSuite {
       repro.core.Tokenizer.bag((0 until n).map(_ => s"v${rng.nextInt(40)}"))
     def merge(x: Map[String, Int], y: Map[String, Int]) =
       (x.keySet ++ y.keySet).map(k => k -> (x.getOrElse(k, 0) + y.getOrElse(k, 0))).toMap
-    def cos(x: Map[String, Int], y: Map[String, Int]) = repro.core.Tokenizer.cosine(x, y)
+    // Cosine of the exact count vectors (no bag here is empty).
+    def cos(x: Map[String, Int], y: Map[String, Int]) = {
+      def norm(b: Map[String, Int]) = math.sqrt(b.valuesIterator.map(c => c.toDouble * c).sum)
+      x.iterator.map { case (t, c) => c.toDouble * y.getOrElse(t, 0) }.sum / (norm(x) * norm(y))
+    }
 
     val gaps = (0 until 30).map { i =>
       val a = draw(400); val rest = draw(800); val bPos = merge(a, rest); val bNeg = merge(draw(400), draw(800))

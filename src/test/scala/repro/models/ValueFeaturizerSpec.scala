@@ -49,8 +49,8 @@ class ValueFeaturizerSpec extends AnyFunSuite {
 
   test("headerFeatures: identical headers score 1 on jaccard") {
     val v = view(t, TaBertBudget)
-    assert(headerFeatures(v, v)(0) == 1.0)
-    assert(headerFeatures(v, v).length == PairFeatures.HeaderDim)
+    assert(PairFeatures.headerFeatures(v.header, v.header)(0) == 1.0)
+    assert(PairFeatures.headerFeatures(v.header, v.header).length == PairFeatures.HeaderDim)
   }
 
   test("valueFeatures: same table scores table-embedding cosine 1") {

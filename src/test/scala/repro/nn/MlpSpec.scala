@@ -13,8 +13,7 @@ class MlpSpec extends AnyFunSuite {
 
   test("learns XOR (non-linearly separable)") {
     val (xs, ys) = xor
-    val m = Mlp.train(Mlp.Binary, xs, ys, xs.take(50), ys.take(50),
-                      Mlp.Config(seed = 0, epochs = 400, patience = 50))
+    val m = Mlp.train(Mlp.Binary, xs, ys, xs.take(50), ys.take(50), seed = 0)
     val acc = xs.indices.count(i => (m.predict(xs(i))(0) > 0.5) == (ys(i)(0) > 0.5)).toDouble / xs.length
     assert(acc > 0.95, s"accuracy $acc")
   }
@@ -22,7 +21,7 @@ class MlpSpec extends AnyFunSuite {
   test("training is deterministic given the seed") {
     val (xs, ys) = xor
     def preds(seed: Long) = {
-      val m = Mlp.train(Mlp.Binary, xs, ys, xs.take(50), ys.take(50), Mlp.Config(seed = seed, epochs = 30))
+      val m = Mlp.train(Mlp.Binary, xs, ys, xs.take(50), ys.take(50), seed = seed)
       xs.take(10).map(x => m.predict(x)(0)).toSeq
     }
     assert(preds(7) == preds(7))
@@ -33,8 +32,7 @@ class MlpSpec extends AnyFunSuite {
     val rng = new scala.util.Random(2)
     val xs = Array.fill(500)(Array(rng.nextDouble(), rng.nextDouble()))
     val ys = xs.map(x => Array(0.3 * x(0) - 0.7 * x(1) + 0.2))
-    val m = Mlp.train(Mlp.Regression, xs, ys, xs.take(60), ys.take(60),
-                      Mlp.Config(seed = 0, epochs = 400, patience = 50))
+    val m = Mlp.train(Mlp.Regression, xs, ys, xs.take(60), ys.take(60), seed = 0)
     val r2 = Metrics.r2(ys.map(_(0)).toSeq, xs.map(x => m.predict(x)(0)).toSeq)
     assert(r2 > 0.95, s"r2 $r2")
   }
@@ -43,8 +41,7 @@ class MlpSpec extends AnyFunSuite {
     val rng = new scala.util.Random(3)
     val xs = Array.fill(600)(Array(rng.nextDouble(), rng.nextDouble()))
     val ys = xs.map(x => Array(if (x(0) > 0.5) 1.0 else 0.0, if (x(1) > 0.5) 1.0 else 0.0))
-    val m = Mlp.train(Mlp.MultiLabel(2), xs, ys, xs.take(60), ys.take(60),
-                      Mlp.Config(seed = 0, epochs = 300, patience = 30))
+    val m = Mlp.train(Mlp.MultiLabel(2), xs, ys, xs.take(60), ys.take(60), seed = 0)
     val f1 = Metrics.multiLabelWeightedF1(
       ys.map(_.map(_.toInt)).toSeq,
       xs.map(x => m.predict(x).map(p => if (p > 0.5) 1 else 0)).toSeq)
@@ -54,26 +51,26 @@ class MlpSpec extends AnyFunSuite {
   test("NaN inputs are treated as missing (imputed to the mean)") {
     val xs = Array(Array(1.0, Double.NaN), Array(0.0, 1.0), Array(1.0, 0.0), Array(0.0, 0.0))
     val ys = Array(Array(1.0), Array(0.0), Array(1.0), Array(0.0))
-    val m = Mlp.train(Mlp.Binary, xs, ys, xs, ys, Mlp.Config(seed = 0, epochs = 50))
+    val m = Mlp.train(Mlp.Binary, xs, ys, xs, ys, seed = 0)
     val p = m.predict(Array(Double.NaN, Double.NaN))
     assert(!p(0).isNaN)
   }
 
   test("empty training set is rejected") {
     assertThrows[IllegalArgumentException] {
-      Mlp.train(Mlp.Binary, Array.empty, Array.empty, Array.empty, Array.empty)
+      Mlp.train(Mlp.Binary, Array.empty, Array.empty, Array.empty, Array.empty, seed = 0)
     }
   }
 
   test("predict output shape follows the task") {
     val xs = Array(Array(0.0), Array(1.0)); val ys = Array(Array(0.0, 1.0, 0.0), Array(1.0, 0.0, 1.0))
-    val m = Mlp.train(Mlp.MultiLabel(3), xs, ys, xs, ys, Mlp.Config(epochs = 2))
+    val m = Mlp.train(Mlp.MultiLabel(3), xs, ys, xs, ys, seed = 0)
     assert(m.predict(Array(0.5)).length == 3)
   }
 
   test("binary predictions are probabilities in (0,1)") {
     val (xs, ys) = xor
-    val m = Mlp.train(Mlp.Binary, xs, ys, xs.take(10), ys.take(10), Mlp.Config(epochs = 5))
+    val m = Mlp.train(Mlp.Binary, xs, ys, xs.take(10), ys.take(10), seed = 0)
     xs.take(20).foreach { x =>
       val p = m.predict(x)(0)
       assert(p > 0.0 && p < 1.0)

@@ -124,6 +124,14 @@ class SearchSpec extends SparkSpec {
     }
   }
 
+  test("tables that share only blank cells are not JOSIE-lite candidates") {
+    val q = LakeTable("q.csv", "", Seq("name"), Seq(Seq("alpha"), Seq(""), Seq("  ")))
+    val c = LakeTable("c.csv", "", Seq("name"), Seq(Seq("beta"), Seq(""), Seq("  "), Seq(null)))
+    assert(q.values(0) == Seq("alpha"))
+    val res = JoinSearch.searchJosie(Map(q.id -> q, c.id -> c), Seq((q.id, 0)), k = 5)
+    assert(res(q.id).isEmpty, s"blank cells counted as shared values: ${res(q.id)}")
+  }
+
   test("union search methods return k results and exclude the query") {
     val qs = tables.keys.take(4).toSeq
     for (res <- Seq(
