@@ -19,6 +19,13 @@ case class Header(
   lazy val allTokens: Set[String] = tokenSets.flatten.toSet
 }
 
+object Header {
+  /** Lowercased `names`, their token sets and the description's, and the table's counts. */
+  def of(names: Seq[String], description: String, rowCount: Long, nCols: Int): Header =
+    Header(names.map(_.toLowerCase), names.map(n => Tokenizer.tokenize(n).toSet),
+           Tokenizer.tokenize(description).toSet, rowCount, nCols)
+}
+
 /** Feature pieces shared by TabSketchFM and the value-based baselines: the
   * header block and the shared-column-name slots.
   */

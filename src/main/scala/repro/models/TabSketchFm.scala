@@ -1,6 +1,6 @@
 package repro.models
 
-import repro.core.{ColumnSketch, MinHash, TableSketch, Tokenizer}
+import repro.core.{ColumnSketch, MinHash, TableSketch}
 import repro.core.Similarity.{bestMatch, fracAbove, max, rangeOverlap, relDiff, topMean}
 import repro.nn.Metrics.mean
 
@@ -39,8 +39,7 @@ object TabSketchFm {
   val Dim: Int        = HeaderDim + MinhashDim + NumDim + ContentDim
 
   private def header(t: TableSketch): Header =
-    Header(t.columns.map(_.name.toLowerCase), t.columns.map(c => Tokenizer.tokenize(c.name).toSet),
-           Tokenizer.tokenize(t.description).toSet, t.rowCount, t.columns.size)
+    Header.of(t.columns.map(_.name), t.description, t.rowCount, t.columns.size)
 
   private def colByName(t: TableSketch, name: String): ColumnSketch =
     t.columns.find(_.name.toLowerCase == name).get

@@ -73,12 +73,11 @@ object ValueFeaturizer {
     */
   def view(t: LakeTable, budget: Budget): ValueView = {
     val cols = math.min(t.numCols, budget.maxCols)
-    val headerTokenSets = (0 until cols).map(i => Tokenizer.tokenize(t.columnNames(i)).toSet)
-    val descTokens = Tokenizer.tokenize(t.description).toSet
+    val header = Header.of(t.columnNames.take(cols), t.description, t.numRows.toLong, t.numCols)
 
     var tokensLeft =
       if (budget.maxTokens == 0) Int.MaxValue
-      else math.max(0, budget.maxTokens - headerTokenSets.map(_.size).sum)
+      else math.max(0, budget.maxTokens - header.tokenSets.map(_.size).sum)
 
     val colTokens = Array.fill(cols)(List.newBuilder[String])
     val colVals   = Array.fill(cols)(List.newBuilder[Double])
@@ -113,9 +112,7 @@ object ValueFeaturizer {
       if (vs.isEmpty) Array(Double.NaN, Double.NaN, Double.NaN)
       else Array(vs.sum / vs.size, vs.min, vs.max)
     }
-    ValueView(Header((0 until cols).map(i => t.columnNames(i).toLowerCase), headerTokenSets, descTokens,
-                     t.numRows.toLong, t.numCols),
-              colBags, tableBag,
+    ValueView(header, colBags, tableBag,
               colBags.map(columnEmbedder.embedCounts), columnEmbedder.embedCounts(tableBag),
               colStats)
   }

@@ -12,23 +12,13 @@ object Metrics {
   def weightedF1(yTrue: Seq[Int], yPred: Seq[Int]): Double = {
     require(yTrue.length == yPred.length, "length mismatch")
     if (yTrue.isEmpty) return 0.0
-    val classes = yTrue.distinct
     val n = yTrue.length.toDouble
-    classes.map { c =>
-      val tp = yTrue.indices.count(i => yTrue(i) == c && yPred(i) == c)
-      val fp = yTrue.indices.count(i => yTrue(i) != c && yPred(i) == c)
-      val fn = yTrue.indices.count(i => yTrue(i) == c && yPred(i) != c)
-      val prec = if (tp + fp == 0) 0.0 else tp.toDouble / (tp + fp)
-      val rec  = if (tp + fn == 0) 0.0 else tp.toDouble / (tp + fn)
-      val f1   = if (prec + rec == 0) 0.0 else 2 * prec * rec / (prec + rec)
-      val support = yTrue.count(_ == c) / n
-      f1 * support
-    }.sum
+    yTrue.distinct.map(c => f1Of(yTrue, yPred, c) * (yTrue.count(_ == c) / n)).sum
   }
 
   /** Weighted F1 over independent labels of a multi-label task: each
-    * label column contributes its own binary weighted F1, weighted by the
-    * label's positive support (ECB Join reporting).
+    * label column contributes the F1 of its positive class, weighted by
+    * the label's positive support (ECB Join reporting).
     */
   def multiLabelWeightedF1(yTrue: Seq[Array[Int]], yPred: Seq[Array[Int]]): Double = {
     require(yTrue.nonEmpty, "empty eval set")
@@ -36,18 +26,21 @@ object Metrics {
     val weights = (0 until nLabels).map(l => yTrue.count(_(l) == 1).toDouble)
     val total   = weights.sum
     if (total == 0) return 0.0
-    (0 until nLabels).map { l =>
-      val t = yTrue.map(_(l))
-      val p = yPred.map(_(l))
-      val tp = t.indices.count(i => t(i) == 1 && p(i) == 1)
-      val fp = t.indices.count(i => t(i) == 0 && p(i) == 1)
-      val fn = t.indices.count(i => t(i) == 1 && p(i) == 0)
-      val prec = if (tp + fp == 0) 0.0 else tp.toDouble / (tp + fp)
-      val rec  = if (tp + fn == 0) 0.0 else tp.toDouble / (tp + fn)
-      val f1   = if (prec + rec == 0) 0.0 else 2 * prec * rec / (prec + rec)
-      f1 * weights(l) / total
-    }.sum
+    (0 until nLabels).map(l => f1Of(yTrue.map(_(l)), yPred.map(_(l)), 1) * weights(l) / total).sum
   }
+
+  /** One-vs-rest F1 of class `c`. */
+  private def f1Of(yTrue: Seq[Int], yPred: Seq[Int], c: Int): Double = {
+    val tp = yTrue.indices.count(i => yTrue(i) == c && yPred(i) == c)
+    val fp = yTrue.indices.count(i => yTrue(i) != c && yPred(i) == c)
+    val fn = yTrue.indices.count(i => yTrue(i) == c && yPred(i) != c)
+    harmonic(if (tp + fp == 0) 0.0 else tp.toDouble / (tp + fp),
+             if (tp + fn == 0) 0.0 else tp.toDouble / (tp + fn))
+  }
+
+  /** Harmonic mean of precision and recall; 0 when both are 0. */
+  private def harmonic(prec: Double, rec: Double): Double =
+    if (prec + rec == 0) 0.0 else 2 * prec * rec / (prec + rec)
 
   /** Coefficient of determination. */
   def r2(yTrue: Seq[Double], yPred: Seq[Double]): Double = {
@@ -66,9 +59,7 @@ object Metrics {
     val top = retrieved.take(k)
     if (top.isEmpty || relevant.isEmpty) return 0.0
     val hits = top.count(relevant.contains)
-    val prec = hits.toDouble / top.size
-    val rec  = hits.toDouble / math.min(relevant.size, k)
-    if (prec + rec == 0) 0.0 else 2 * prec * rec / (prec + rec)
+    harmonic(hits.toDouble / top.size, hits.toDouble / math.min(relevant.size, k))
   }
 
   def mean(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.length

@@ -50,24 +50,20 @@ object Reports {
   /** Single-sketch ablation (Table 3): header tokens + exactly one sketch
     * family, seed 0, over the seven non-TUS tasks.
     */
-  def table3(spark: SparkSession): (Seq[String], Seq[Cell]) = {
-    val roster = Seq(
-      SketchFeaturizer(SketchMask.onlyMinhash, "MinHash only"),
-      SketchFeaturizer(SketchMask.onlyNumerical, "Numerical only"),
-      SketchFeaturizer(SketchMask.onlyContent, "Content only"),
-      SketchFeaturizer(SketchMask.all, "TabSketchFM (all)"),
-    )
-    table2(spark, seeds = Seq(0L), roster = roster, benches = LakeBenchSuite.ablationSet)
-  }
+  def table3(spark: SparkSession): (Seq[String], Seq[Cell]) = ablation(spark,
+    SketchMask.onlyMinhash -> "MinHash only",
+    SketchMask.onlyNumerical -> "Numerical only",
+    SketchMask.onlyContent -> "Content only")
 
   /** Leave-one-sketch-out ablation (Table 4). */
-  def table4(spark: SparkSession): (Seq[String], Seq[Cell]) = {
-    val roster = Seq(
-      SketchFeaturizer(SketchMask.noMinhash, "No MinHash"),
-      SketchFeaturizer(SketchMask.noNumerical, "No Numerical"),
-      SketchFeaturizer(SketchMask.noContent, "No Content"),
-      SketchFeaturizer(SketchMask.all, "TabSketchFM (all)"),
-    )
+  def table4(spark: SparkSession): (Seq[String], Seq[Cell]) = ablation(spark,
+    SketchMask.noMinhash -> "No MinHash",
+    SketchMask.noNumerical -> "No Numerical",
+    SketchMask.noContent -> "No Content")
+
+  /** Each masked TabSketchFM, then all sketches, at seed 0 on the ablation benchmarks. */
+  private def ablation(spark: SparkSession, masks: (SketchMask, String)*): (Seq[String], Seq[Cell]) = {
+    val roster = (masks :+ (SketchMask.all -> "TabSketchFM (all)")).map { case (m, n) => SketchFeaturizer(m, n) }
     table2(spark, seeds = Seq(0L), roster = roster, benches = LakeBenchSuite.ablationSet)
   }
 

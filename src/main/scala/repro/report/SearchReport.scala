@@ -17,8 +17,21 @@ object SearchReport {
 
   val Ks: Seq[Int] = Seq(1, 2, 3, 5, 8, 10)
 
-  private def fmt(name: String, scores: Seq[Double]): String =
-    f"$name%-14s" + scores.map(s => f" | $s%5.3f").mkString
+  /** F1@k per method at every k in `Ks`, averaged over the queries, and
+    * the printed lines: a header row, then one row per method.
+    */
+  private def report(title: String, queries: Seq[String], relevant: String => Set[String],
+                     methods: Seq[(String, Map[String, Seq[String]])]): (Seq[String], Map[String, Seq[Double]]) = {
+    val truth = queries.map(relevant)
+    val rows = methods.map { case (name, res) =>
+      name -> Ks.map(k => Metrics.mean(queries.zip(truth).map { case (q, rel) =>
+        Metrics.f1AtK(res.getOrElse(q, Seq.empty), rel, k)
+      }))
+    }
+    val lines = (f"$title%-14s" + Ks.map(k => f" |  F1@$k%-2d").mkString) +:
+      rows.map { case (name, scores) => f"$name%-14s" + scores.map(s => f" | $s%5.3f").mkString }
+    (lines, rows.toMap)
+  }
 
   /** Fig. 8 analogue: join search over the Wiki lake; ground truth is
     * *sensible* joinability (same concept + entity overlap).
@@ -31,25 +44,17 @@ object SearchReport {
     val queries = rng.shuffle(lake.tables.filter(t => JoinSearch.relevant(lake, t.table.id).nonEmpty))
       .take(nQueries).map(t => (t.table.id, 0))
 
-    val kMax = Ks.max
     val dir = java.nio.file.Files.createTempDirectory("joinsearch")
     val methods: Seq[(String, Map[String, Seq[String]])] = try {
       val emb = JoinSearch.embeddingsDf(spark, sketches, tables, dir.toString)
       Seq(
-        "TabSketchFM" -> JoinSearch.searchEmbeddings(spark, emb, queries, kMax),
-        "LSHForest"   -> JoinSearch.searchLsh(sketches, queries, kMax),
-        "JOSIE"       -> JoinSearch.searchJosie(tables, queries, kMax),
-        "EmbedJoin"   -> JoinSearch.searchEmbedJoin(tables, queries, kMax),
+        "TabSketchFM" -> JoinSearch.searchEmbeddings(spark, emb, queries, Ks.max),
+        "LSHForest"   -> JoinSearch.searchLsh(sketches, queries, Ks.max),
+        "JOSIE"       -> JoinSearch.searchJosie(tables, queries, Ks.max),
+        "EmbedJoin"   -> JoinSearch.searchEmbedJoin(tables, queries, Ks.max),
       )
     } finally FileUtils.deleteDirectory(dir.toFile)
-    val scores = methods.map { case (name, res) =>
-      name -> Ks.map(k => Metrics.mean(queries.map { case (q, _) =>
-        Metrics.f1AtK(res.getOrElse(q, Seq.empty), JoinSearch.relevant(lake, q), k)
-      }))
-    }.toMap
-    val lines = (f"${"Wiki Join"}%-14s" + Ks.map(k => f" |  F1@$k%-2d").mkString) +:
-      methods.map(_._1).map(n => fmt(n, scores(n)))
-    (lines, scores)
+    report("Wiki Join", queries.map(_._1), JoinSearch.relevant(lake, _), methods)
   }
 
   /** Fig. 9/10 analogue: union search over the TUS/SANTOS-style corpus;
@@ -63,20 +68,13 @@ object SearchReport {
     def relevant(q: String): Set[String] = tables.keys.filter(t => t != q && domain(t) == domain(q)).toSet
     val rng = new scala.util.Random(19)
     val queries = rng.shuffle(tables.keys.toSeq).take(nQueries)
-    val kMax = Ks.max
 
     val methods: Seq[(String, Map[String, Seq[String]])] = Seq(
-      "TabSketchFM" -> UnionSearch.searchEmbeddings(sketches, tables, queries, kMax),
-      "D3L"         -> UnionSearch.searchD3L(sketches, queries, kMax),
-      "SANTOS"      -> UnionSearch.searchSantos(sketches, queries, kMax),
-      "Starmie"     -> UnionSearch.searchStarmie(tables, queries, kMax),
+      "TabSketchFM" -> UnionSearch.searchEmbeddings(sketches, tables, queries, Ks.max),
+      "D3L"         -> UnionSearch.searchD3L(sketches, queries, Ks.max),
+      "SANTOS"      -> UnionSearch.searchSantos(sketches, queries, Ks.max),
+      "Starmie"     -> UnionSearch.searchStarmie(tables, queries, Ks.max),
     )
-    val scores = methods.map { case (name, res) =>
-      name -> Ks.map(k => Metrics.mean(queries.map(q =>
-        Metrics.f1AtK(res.getOrElse(q, Seq.empty), relevant(q), k))))
-    }.toMap
-    val lines = (f"${"Union (TUS)"}%-14s" + Ks.map(k => f" |  F1@$k%-2d").mkString) +:
-      methods.map(_._1).map(n => fmt(n, scores(n)))
-    (lines, scores)
+    report("Union (TUS)", queries, relevant, methods)
   }
 }

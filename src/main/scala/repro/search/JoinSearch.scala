@@ -45,10 +45,11 @@ object JoinSearch {
   /** Top-k joinable tables per query (queries are (tableId, colIdx) of the
     * entity columns). One scan of the embedding index scores every lake
     * column against the query vectors, keeps each candidate table's best
-    * score, and emits each partition's top-k per query; the driver merges
-    * the partitions' lists by max. The merge is exact: a table missing from
-    * a partition's top-k is beaten there by k tables that score at least
-    * as high. Ranking is by score descending, then table id ascending.
+    * score, and emits each partition's `Ranking.topScored` per query; the
+    * driver merges them by max and ranks them with `Ranking.top`, exactly:
+    * a table missing from a partition's top-k ranks below k tables there.
+    * Cosines of finite vectors are never NaN or −0.0, so `>` and
+    * `math.max` agree with `Ranking`'s order.
     */
   def searchEmbeddings(spark: SparkSession, emb: DataFrame,
                        queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
@@ -63,32 +64,18 @@ object JoinSearch {
       cols.foreach { c =>
         qVecs.indices.foreach { qi =>
           val (qTable, vecs) = qVecs(qi)
-          if (c.tableId != qTable) vecs.foreach(v => keepMax(best(qi), c.tableId, Similarity.cosine(v, c.emb)))
+          if (c.tableId != qTable) vecs.foreach { v =>
+            val s = Similarity.cosine(v, c.emb)
+            if (best(qi).get(c.tableId).forall(s > _)) best(qi)(c.tableId) = s
+          }
         }
       }
-      qVecs.indices.iterator.flatMap(qi => topK(best(qi), k).map { case (t, s) => (qVecs(qi)._1, t, s) })
+      qVecs.indices.iterator.flatMap(qi => Ranking.topScored(best(qi), k).map { case (t, s) => (qVecs(qi)._1, t, s) })
     }.collect()
     partial.groupBy(_._1).map { case (qTable, rows) =>
-      val best = mutable.HashMap.empty[String, Double]
-      rows.foreach { case (_, t, s) => keepMax(best, t, s) }
-      qTable -> topK(best, k).map(_._1)
+      qTable -> Ranking.top(rows.groupMapReduce(_._2)(_._3)(math.max), k)
     }
   }
-
-  /** Spark SQL's order on doubles, so ties and NaN rank as a DataFrame
-    * sort would: -0.0 equals 0.0 and NaN is the largest value.
-    */
-  private def compareScores(a: Double, b: Double): Int =
-    if (a == b) 0 else java.lang.Double.compare(a, b)
-
-  private def keepMax(best: mutable.Map[String, Double], table: String, score: Double): Unit =
-    if (best.get(table).forall(compareScores(score, _) > 0)) best(table) = score
-
-  private def topK(best: collection.Map[String, Double], k: Int): Seq[(String, Double)] =
-    best.toSeq.sortWith { case ((ta, sa), (tb, sb)) =>
-      val c = compareScores(sa, sb)
-      c > 0 || (c == 0 && ta < tb)
-    }.take(k)
 
   /** JOSIE-lite: rank candidate tables by exact max value overlap of any
     * column with the query column (overlap set similarity search). A table

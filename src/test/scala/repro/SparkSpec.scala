@@ -16,11 +16,20 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body` on a new directory under `java.io.tmpdir` whose name
+    * starts with `prefix`, and deletes the directory afterwards.
+    */
+  def withTempDir[A](prefix: String)(body: String => A): A = {
+    val dir = java.nio.file.Files.createTempDirectory(prefix).toFile
+    try body(dir.toString)
+    finally org.apache.commons.io.FileUtils.deleteDirectory(dir)
+  }
 }
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",

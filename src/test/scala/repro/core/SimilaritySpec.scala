@@ -48,4 +48,16 @@ class SimilaritySpec extends AnyFunSuite {
     assert(cosine(Array(4.0, 5.0), Array(1.0, 2.0, 3.0)) == 14.0)
     assert(cosine(Array.empty, Array(1.0)) == 0.0)
   }
+
+  // Join search ranks cosines with `>` and `math.max` in its partitions and
+  // with `Ranking`'s order on the driver; the two agree only without NaN and -0.0.
+  test("cosine of vectors with entries in [-1, 1] is never NaN or -0.0") {
+    val entry = Gen.frequency(3 -> Gen.choose(-1.0, 1.0), 2 -> Gen.oneOf(0.0, -0.0), 1 -> Gen.oneOf(1.0, -1.0))
+    val vec = Gen.choose(0, 8).flatMap(n => Gen.listOfN(n, entry).map(_.toArray))
+    val negZero = java.lang.Double.doubleToRawLongBits(-0.0)
+    PropCheck.check(Prop.forAllNoShrink(vec, vec) { (a, b) =>
+      val c = cosine(a, b)
+      !c.isNaN && java.lang.Double.doubleToRawLongBits(c) != negZero
+    })
+  }
 }

@@ -10,7 +10,6 @@ class TabSketchFmSpec extends AnyFunSuite {
   private def mkTable(id: String, names: Seq[String], rows: Seq[Seq[String]]) =
     TableSketcher.sketch(LakeTable(id, "", names, rows))
 
-  private val rng = new scala.util.Random(3)
   private val base = mkTable("base", Seq("city", "pop"),
     (1 to 60).map(i => Seq(s"city$i", (1000 + i * 10).toString)))
   private val same = mkTable("same", Seq("city", "pop"),
@@ -93,6 +92,4 @@ class TabSketchFmSpec extends AnyFunSuite {
     assert(content(1) > 0.7, s"containment(part in whole) ${content(1)}")
     assert(content(2) < 0.5, s"containment(whole in part) ${content(2)}")
   }
-
-  val _ = rng
 }

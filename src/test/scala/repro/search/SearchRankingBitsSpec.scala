@@ -41,11 +41,10 @@ class SearchRankingBitsSpec extends SparkSpec {
     java.security.MessageDigest.getInstance("SHA-256").digest(s.getBytes("UTF-8"))
       .take(8).map(b => f"${b & 0xff}%02x").mkString
 
-  private lazy val emb = JoinSearch.embeddingsDf(spark, sketches, tables,
-    java.nio.file.Files.createTempDirectory("emb-pins").toString)
-
   private val methods: Seq[(String, Int => Map[String, Seq[String]])] = Seq(
-    "TabSketchFM join"  -> (k => JoinSearch.searchEmbeddings(spark, emb, joinQueries, k)),
+    "TabSketchFM join"  -> (k => withTempDir("emb-pins") { dir =>
+      JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables, dir), joinQueries, k)
+    }),
     "LSHForest"         -> (k => JoinSearch.searchLsh(sketches, joinQueries, k)),
     "JOSIE"             -> (k => JoinSearch.searchJosie(tables, joinQueries, k)),
     "EmbedJoin"         -> (k => JoinSearch.searchEmbedJoin(tables, joinQueries, k)),

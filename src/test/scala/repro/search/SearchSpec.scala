@@ -18,6 +18,15 @@ class SearchSpec extends SparkSpec {
   private lazy val queries: Seq[(String, Int)] =
     lake.tables.take(8).map(t => (t.table.id, 0))
 
+  /** The `emb*` index directories in the JVM's temporary directory. */
+  private def indexDirs(): Set[String] =
+    Option(new java.io.File(System.getProperty("java.io.tmpdir")).list())
+      .fold(Set.empty[String])(_.filter(_.startsWith("emb")).toSet)
+
+  private var dirsBefore = Set.empty[String]
+
+  override def beforeAll(): Unit = { super.beforeAll(); dirsBefore = indexDirs() }
+
   test("column embeddings have a fixed dimension and unit norm") {
     val t = tables.values.head
     val s = sketches(t.id)
@@ -41,9 +50,9 @@ class SearchSpec extends SparkSpec {
   }
 
   test("embedding NN join over parquet returns ranked joinable tables") {
-    val dir = java.nio.file.Files.createTempDirectory("emb").toString
-    val emb = JoinSearch.embeddingsDf(spark, sketches, tables, dir)
-    val results = JoinSearch.searchEmbeddings(spark, emb, queries.take(3), k = 5)
+    val results = withTempDir("emb") { dir =>
+      JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables, dir), queries.take(3), k = 5)
+    }
     assert(results.size == 3)
     results.foreach { case (q, ranked) =>
       assert(ranked.size <= 5)
@@ -72,35 +81,36 @@ class SearchSpec extends SparkSpec {
   }
 
   test("embedding search equals a brute-force scan across partitions, ties and edge queries") {
-    val dir = java.nio.file.Files.createTempDirectory("emb-oracle").toString
-    val base = JoinSearch.embeddingsDf(spark, sketches, tables, dir)
-    val twin = lake.tables(9).table.id
-    // An exact copy of one table under a new id: every query ties on the pair.
-    val emb = base.union(base.where(col("tableId") === twin).withColumn("tableId", lit(s"$twin-copy")))
-      .repartition(7).cache()
-    import spark.implicits._
-    val cols = emb.as[JoinSearch.ColumnEmb].collect().toSeq
-    val lakeSize = cols.map(_.tableId).distinct.size
-    val qs = queries.take(4) ++ Seq(("no-such-table", 0), (queries.head._1, 1))
-    val all = Seq(1, 5, lakeSize + 3).map { k =>
-      val got = JoinSearch.searchEmbeddings(spark, emb, qs, k)
-      assert(got == bruteForce(cols, qs, k), s"k=$k")
-      assert(!got.contains("no-such-table"))
-      got
-    }.last
-    assert(all(queries.head._1).size == lakeSize - 1)
-    val ranked = all(queries(1)._1)
-    assert(ranked.indexOf(s"$twin-copy") == ranked.indexOf(twin) + 1, "tie broken by table id")
-    emb.unpersist()
+    withTempDir("emb-oracle") { dir =>
+      val base = JoinSearch.embeddingsDf(spark, sketches, tables, dir)
+      val twin = lake.tables(9).table.id
+      // An exact copy of one table under a new id: every query ties on the pair.
+      val emb = base.union(base.where(col("tableId") === twin).withColumn("tableId", lit(s"$twin-copy")))
+        .repartition(7).cache()
+      import spark.implicits._
+      val cols = emb.as[JoinSearch.ColumnEmb].collect().toSeq
+      val lakeSize = cols.map(_.tableId).distinct.size
+      val qs = queries.take(4) ++ Seq(("no-such-table", 0), (queries.head._1, 1))
+      val all = Seq(1, 5, lakeSize + 3).map { k =>
+        val got = JoinSearch.searchEmbeddings(spark, emb, qs, k)
+        assert(got == bruteForce(cols, qs, k), s"k=$k")
+        assert(!got.contains("no-such-table"))
+        got
+      }.last
+      assert(all(queries.head._1).size == lakeSize - 1)
+      val ranked = all(queries(1)._1)
+      assert(ranked.indexOf(s"$twin-copy") == ranked.indexOf(twin) + 1, "tie broken by table id")
+      emb.unpersist()
+    }
   }
 
   test("embedding search beats value-overlap baselines on sensible-join GT") {
-    val dir = java.nio.file.Files.createTempDirectory("emb2").toString
-    val emb = JoinSearch.embeddingsDf(spark, sketches, tables, dir)
     def f1(results: Map[String, Seq[String]]): Double =
       Metrics.mean(queries.map { case (q, _) =>
         Metrics.f1AtK(results.getOrElse(q, Seq.empty), JoinSearch.relevant(lake, q), 5) })
-    val ours  = f1(JoinSearch.searchEmbeddings(spark, emb, queries, 5))
+    val ours  = f1(withTempDir("emb2") { dir =>
+      JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables, dir), queries, 5)
+    })
     val josie = f1(JoinSearch.searchJosie(tables, queries, 5))
     assert(ours > 0.2, s"ours $ours")
     assert(ours >= josie - 0.05, s"ours $ours vs josie $josie")
@@ -152,9 +162,10 @@ class SearchSpec extends SparkSpec {
     // all would return it.
     val k  = lake2.size
     val qs = lake2.keys.filter(_ != empty.id).take(4).toSeq
-    val emb = JoinSearch.embeddingsDf(spark, sk2, lake2, java.nio.file.Files.createTempDirectory("emb-empty").toString)
     val results = Seq(
-      "TabSketchFM join"  -> JoinSearch.searchEmbeddings(spark, emb, queries, k),
+      "TabSketchFM join"  -> withTempDir("emb-empty") { dir =>
+        JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sk2, lake2, dir), queries, k)
+      },
       "LSHForest"         -> JoinSearch.searchLsh(sk2, queries, k),
       "JOSIE"             -> JoinSearch.searchJosie(lake2, queries, k),
       "EmbedJoin"         -> JoinSearch.searchEmbedJoin(lake2, queries, k),
@@ -168,5 +179,11 @@ class SearchSpec extends SparkSpec {
     }
     assert(results.toMap.apply("TabSketchFM union").values.forall(_.size == lake2.size - 2),
       "every other table is still ranked")
+  }
+
+  // Registered last, so it runs after every test above has built its index.
+  test("no search test leaves an emb* index directory behind") {
+    val left = indexDirs() -- dirsBefore
+    assert(left.isEmpty, s"index directories left behind: ${left.mkString(", ")}")
   }
 }
