@@ -12,17 +12,12 @@ import repro.report.SearchReport
   */
 class SearchBench extends SparkSpec {
 
-  /** The `joinsearch*` directories in the JVM's temporary directory. */
-  private def joinIndexDirs(): Set[String] =
-    Option(new java.io.File(System.getProperty("java.io.tmpdir")).list())
-      .fold(Set.empty[String])(_.filter(_.startsWith("joinsearch")).toSet)
-
   test("Join search (Fig. 8 shape): embeddings beat overlap-only baselines") {
-    val before = joinIndexDirs()
+    val before = tempDirs("joinsearch")
     val (lines, scores) = SearchReport.joinSearch(spark)
     println("==== Join search over the Wiki lake (F1@k) ====")
     lines.foreach(println)
-    val left = joinIndexDirs() -- before
+    val left = tempDirs("joinsearch") -- before
     assert(left.isEmpty, s"join search left its index behind: ${left.mkString(", ")}")
 
     val ours  = Metrics.mean(scores("TabSketchFM"))

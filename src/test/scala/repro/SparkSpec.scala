@@ -25,6 +25,11 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     try body(dir.toString)
     finally org.apache.commons.io.FileUtils.deleteDirectory(dir)
   }
+
+  /** The names in `java.io.tmpdir` that start with `prefix`. */
+  def tempDirs(prefix: String): Set[String] =
+    Option(new java.io.File(System.getProperty("java.io.tmpdir")).list())
+      .fold(Set.empty[String])(_.filter(_.startsWith(prefix)).toSet)
 }
 
 object SparkSpec {

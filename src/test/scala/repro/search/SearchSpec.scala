@@ -18,14 +18,9 @@ class SearchSpec extends SparkSpec {
   private lazy val queries: Seq[(String, Int)] =
     lake.tables.take(8).map(t => (t.table.id, 0))
 
-  /** The `emb*` index directories in the JVM's temporary directory. */
-  private def indexDirs(): Set[String] =
-    Option(new java.io.File(System.getProperty("java.io.tmpdir")).list())
-      .fold(Set.empty[String])(_.filter(_.startsWith("emb")).toSet)
-
   private var dirsBefore = Set.empty[String]
 
-  override def beforeAll(): Unit = { super.beforeAll(); dirsBefore = indexDirs() }
+  override def beforeAll(): Unit = { super.beforeAll(); dirsBefore = tempDirs("emb") }
 
   test("column embeddings have a fixed dimension and unit norm") {
     val t = tables.values.head
@@ -183,7 +178,7 @@ class SearchSpec extends SparkSpec {
 
   // Registered last, so it runs after every test above has built its index.
   test("no search test leaves an emb* index directory behind") {
-    val left = indexDirs() -- dirsBefore
+    val left = tempDirs("emb") -- dirsBefore
     assert(left.isEmpty, s"index directories left behind: ${left.mkString(", ")}")
   }
 }
