@@ -38,12 +38,22 @@ object TypeInference {
     if (s == null) None
     else try { Some(java.lang.Long.parseLong(s.trim)) } catch { case _: NumberFormatException => None }
 
+  /** A finite double, or None. A finite Java double literal starts, after
+    * an optional sign, with an ASCII digit or `.`; any other string is
+    * turned away before `parseDouble`, so text cells throw no exception.
+    */
   def parseDouble(s: String): Option[Double] =
     if (s == null) None
-    else try {
-      val d = java.lang.Double.parseDouble(s.trim)
-      if (java.lang.Double.isFinite(d)) Some(d) else None
-    } catch { case _: NumberFormatException => None }
+    else {
+      val t = s.trim
+      val i = if (t.startsWith("+") || t.startsWith("-")) 1 else 0
+      val c = if (i < t.length) t.charAt(i) else ' '
+      if (c != '.' && (c < '0' || c > '9')) None
+      else try {
+        val d = java.lang.Double.parseDouble(t)
+        if (java.lang.Double.isFinite(d)) Some(d) else None
+      } catch { case _: NumberFormatException => None }
+    }
 
   /** Infer the type of a column from (up to) its first 10 non-missing values. */
   def infer(values: Iterable[String]): ColType = {

@@ -31,6 +31,9 @@ object WikiLake {
       * instance so per-corpus representation caches hit across them.
       */
     lazy val lakeTables: Map[String, LakeTable] = tables.map(t => t.table.id -> t.table).toMap
+
+    /** The tables by id, built once per lake. */
+    lazy val byId: Map[String, WikiTable] = tables.map(t => t.table.id -> t).toMap
   }
 
   /** Deterministic relation target for (entity label, property): relation

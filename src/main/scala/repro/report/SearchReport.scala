@@ -1,6 +1,5 @@
 package repro.report
 
-import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
 
 import repro.core.TableSketcher
@@ -44,16 +43,13 @@ object SearchReport {
     val queries = rng.shuffle(lake.tables.filter(t => JoinSearch.relevant(lake, t.table.id).nonEmpty))
       .take(nQueries).map(t => (t.table.id, 0))
 
-    val dir = java.nio.file.Files.createTempDirectory("joinsearch")
-    val methods: Seq[(String, Map[String, Seq[String]])] = try {
-      val emb = JoinSearch.embeddingsDf(spark, sketches, tables, dir.toString)
-      Seq(
-        "TabSketchFM" -> JoinSearch.searchEmbeddings(spark, emb, queries, Ks.max),
-        "LSHForest"   -> JoinSearch.searchLsh(sketches, queries, Ks.max),
-        "JOSIE"       -> JoinSearch.searchJosie(tables, queries, Ks.max),
-        "EmbedJoin"   -> JoinSearch.searchEmbedJoin(tables, queries, Ks.max),
-      )
-    } finally FileUtils.deleteDirectory(dir.toFile)
+    val emb = JoinSearch.embeddingsDf(spark, sketches, tables)
+    val methods: Seq[(String, Map[String, Seq[String]])] = Seq(
+      "TabSketchFM" -> JoinSearch.searchEmbeddings(spark, emb, queries, Ks.max),
+      "LSHForest"   -> JoinSearch.searchLsh(sketches, queries, Ks.max),
+      "JOSIE"       -> JoinSearch.searchJosie(tables, queries, Ks.max),
+      "EmbedJoin"   -> JoinSearch.searchEmbedJoin(tables, queries, Ks.max),
+    )
     report("Wiki Join", queries.map(_._1), JoinSearch.relevant(lake, _), methods)
   }
 

@@ -14,10 +14,9 @@ import repro.lakebench.WikiLake
   * value-overlapping.
   *
   * Methods:
-  *  - TabSketchFM: nearest-neighbor search over contextual column
-  *    embeddings (sketches + value embedding), computed as one scan of the
-  *    Parquet-persisted embedding index with a per-partition top-k merged
-  *    on the driver.
+  *  - TabSketchFM: exact nearest-neighbor search over contextual column
+  *    embeddings (sketches + value embedding), one driver-side scan of the
+  *    in-memory column-embedding index per query table.
   *  - LSHForest-lite: MinHash band candidates ranked by estimated Jaccard.
   *  - JOSIE-lite: exact value-overlap ranking (set containment search).
   *  - EmbedJoin: value-embedding cosine only (WarpGate stand-in).
@@ -26,11 +25,12 @@ object JoinSearch {
 
   case class ColumnEmb(tableId: String, colIdx: Int, emb: Array[Double])
 
-  /** Build, persist to Parquet, and reload the embedding table — search
-    * then runs as one scan over the Parquet data.
+  /** The column-embedding index: one `ColumnEmb` per lake column, computed
+    * on the `Parallel` pool and held as a local Dataset in driver memory.
+    * `path` is unused; it stays for callers that still pass one.
     */
   def embeddingsDf(spark: SparkSession, sketches: Map[String, TableSketch],
-                   tables: Map[String, LakeTable], path: String): DataFrame = {
+                   tables: Map[String, LakeTable], path: String = ""): DataFrame = {
     import spark.implicits._
     val rows = Parallel.map(sketches.values.toSeq) { s =>
       val t   = tables(s.tableId)
@@ -38,42 +38,32 @@ object JoinSearch {
       s.columns.map(c => ColumnEmb(s.tableId, c.position,
         Embeddings.column(c, t.values(c.position), ctx)))
     }.flatten
-    spark.createDataset(rows).write.mode("overwrite").parquet(path)
-    spark.read.parquet(path)
+    spark.createDataset(rows).toDF()
   }
 
   /** Top-k joinable tables per query (queries are (tableId, colIdx) of the
-    * entity columns). One scan of the embedding index scores every lake
-    * column against the query vectors, keeps each candidate table's best
-    * score, and emits each partition's `Ranking.topScored` per query; the
-    * driver merges them by max and ranks them with `Ranking.top`, exactly:
-    * a table missing from a partition's top-k ranks below k tables there.
-    * Cosines of finite vectors are never NaN or −0.0, so `>` and
-    * `math.max` agree with `Ranking`'s order.
+    * entity columns), scored on the driver. The index is collected once —
+    * `embeddingsDf`'s local Dataset returns its rows without a Spark job,
+    * an index held in Spark partitions with one — then each query table
+    * keeps every other table's best cosine over its query columns and
+    * ranks them with `Ranking.top`. Cosines of finite vectors are never NaN
+    * or −0.0, so the max is the same in any order and a plain `>` agrees
+    * with `Ranking`'s order.
     */
   def searchEmbeddings(spark: SparkSession, emb: DataFrame,
                        queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
     import spark.implicits._
+    val cols = emb.as[ColumnEmb].collect()
     val wanted = queries.toSet
-    val qVecs: Array[(String, Array[Array[Double]])] =
-      emb.where($"tableId".isin(queries.map(_._1).distinct: _*)).as[ColumnEmb].collect()
-        .filter(c => wanted((c.tableId, c.colIdx)))
-        .groupBy(_.tableId).map { case (t, cs) => t -> cs.map(_.emb) }.toArray
-    val partial = emb.as[ColumnEmb].mapPartitions { cols =>
-      val best = qVecs.map(_ => mutable.HashMap.empty[String, Double])
+    cols.filter(c => wanted((c.tableId, c.colIdx))).groupBy(_.tableId).map { case (qTable, qCols) =>
+      val best = mutable.HashMap.empty[String, Double]
       cols.foreach { c =>
-        qVecs.indices.foreach { qi =>
-          val (qTable, vecs) = qVecs(qi)
-          if (c.tableId != qTable) vecs.foreach { v =>
-            val s = Similarity.cosine(v, c.emb)
-            if (best(qi).get(c.tableId).forall(s > _)) best(qi)(c.tableId) = s
-          }
+        if (c.tableId != qTable) qCols.foreach { q =>
+          val s = Similarity.cosine(q.emb, c.emb)
+          if (best.get(c.tableId).forall(s > _)) best(c.tableId) = s
         }
       }
-      qVecs.indices.iterator.flatMap(qi => Ranking.topScored(best(qi), k).map { case (t, s) => (qVecs(qi)._1, t, s) })
-    }.collect()
-    partial.groupBy(_._1).map { case (qTable, rows) =>
-      qTable -> Ranking.top(rows.groupMapReduce(_._2)(_._3)(math.max), k)
+      qTable -> Ranking.top(best, k)
     }
   }
 
@@ -129,10 +119,9 @@ object JoinSearch {
 
   /** Ground truth: tables of the same concept with entity overlap. */
   def relevant(lake: WikiLake.Lake, queryTable: String): Set[String] = {
-    val byId = lake.tables.map(t => t.table.id -> t).toMap
-    val q = byId(queryTable)
+    val q = lake.byId(queryTable)
     lake.tables.filter(t => t.table.id != queryTable && t.classIdx == q.classIdx &&
-                            t.entityIdxs.intersect(q.entityIdxs).nonEmpty)
+                            t.entityIdxs.exists(q.entityIdxs.contains))
       .map(_.table.id).toSet
   }
 }

@@ -1,15 +1,11 @@
 package repro.search
 
-/** The ranking every search method ends with, in join-scan partitions and on the driver. */
+/** The ranking every search method ends with. */
 private[search] object Ranking {
 
-  /** The k best-scored entries: score descending, then id ascending. */
-  def topScored(scored: Iterable[(String, Double)], k: Int): Seq[(String, Double)] =
-    scored.toSeq.sortBy { case (id, s) => (-s, id) }.take(k)
-
-  /** Ids of the k best-scored entries, in `topScored` order. */
+  /** Ids of the k best-scored entries: score descending, then id ascending. */
   def top(scored: Iterable[(String, Double)], k: Int): Seq[String] =
-    topScored(scored, k).map(_._1)
+    scored.toSeq.sortBy { case (id, s) => (-s, id) }.take(k).map(_._1)
 
   /** Ranks the lake tables other than `query` that have a column. */
   def lake(ids: Iterable[String], query: String, k: Int)(hasColumns: String => Boolean)

@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -24,6 +27,33 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     val dir = java.nio.file.Files.createTempDirectory(prefix).toFile
     try body(dir.toString)
     finally org.apache.commons.io.FileUtils.deleteDirectory(dir)
+  }
+
+  /** The number of Spark jobs that `body` starts. A one-task marker job
+    * before and after `body` brackets its jobs in the listener bus's order,
+    * so jobs of earlier code still queued on the bus are not counted.
+    */
+  def sparkJobsDuring(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val key = "repro.sparkJobsDuring"
+    val started = new LinkedBlockingQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        started.put(Option(e.properties).flatMap(p => Option(p.getProperty(key))).getOrElse("job"))
+    }
+    def marker(name: String): Unit = {
+      sc.setLocalProperty(key, name)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(key, null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("begin")
+      body
+      marker("end")
+      Iterator.continually(started.poll(60, TimeUnit.SECONDS))
+        .map { e => assert(e != null, "no marker job reached the listener bus within 60 s"); e }
+        .dropWhile(_ != "begin").drop(1).takeWhile(_ != "end").size
+    } finally sc.removeSparkListener(listener)
   }
 
   /** The names in `java.io.tmpdir` that start with `prefix`. */

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.PropCheck
 import TypeInference._
 
 class TypeInferenceSpec extends AnyFunSuite {
@@ -72,6 +74,31 @@ class TypeInferenceSpec extends AnyFunSuite {
     assert(parseDouble("abc").isEmpty)
     assert(parseDouble("NaN").isEmpty, "non-finite values rejected")
     assert(parseLong(null).isEmpty && parseDouble(null).isEmpty)
+  }
+
+  test("parseDouble agrees with parsing every string and catching the exception") {
+    def old(s: String): Option[Double] =
+      if (s == null) None
+      else try {
+        val d = java.lang.Double.parseDouble(s.trim)
+        if (java.lang.Double.isFinite(d)) Some(d) else None
+      } catch { case _: NumberFormatException => None }
+    val piece = Gen.frequency(
+      4 -> Gen.numChar.map(_.toString),
+      2 -> Gen.oneOf("+", "-", ".", "e", "E", "e-", "d", "D", "f", "F", "x", "p"),
+      2 -> Gen.oneOf(" ", "\t", "\n", "\u0000", "\u00a0", "\u2003"),
+      2 -> Gen.oneOf("0x1p3", "0X1.8P-2", "NaN", "Infinity", "-Infinity", ".5", "5.", "1e5", "1e400", "4.9e-325"),
+      1 -> Gen.oneOf("\u0663", "\u0967", "\uff11", "\u00b2", "\u0665.5"),
+      1 -> PropCheck.awkwardString,
+    )
+    val input = Gen.frequency(1 -> Gen.const(null), 1 -> PropCheck.awkwardString,
+      8 -> Gen.choose(1, 6).flatMap(n => Gen.listOfN(n, piece).map(_.mkString)))
+    PropCheck.check(Prop.forAllNoShrink(input) { s =>
+      val (a, b) = (parseDouble(s), old(s))
+      Prop(a.map(java.lang.Double.doubleToRawLongBits) == b.map(java.lang.Double.doubleToRawLongBits)) :| s"'$s': $a vs $b"
+    }, minSuccessful = 5000)
+    for (s <- Seq("+.5", "-5.", " 1e5 ", "5d", "5F", "0x1p3", "-0.0", "+-1", "", "+", ".", "NaN", "-Infinity", "\u0663"))
+      assert(parseDouble(s).map(java.lang.Double.doubleToRawLongBits) == old(s).map(java.lang.Double.doubleToRawLongBits), s)
   }
 
   test("numericValue respects inferred type") {

@@ -1,5 +1,8 @@
 package repro.search
 
+import java.lang.ref.WeakReference
+
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.functions.{col, lit}
 
 import repro.SparkSpec
@@ -44,10 +47,8 @@ class SearchSpec extends SparkSpec {
     }
   }
 
-  test("embedding NN join over parquet returns ranked joinable tables") {
-    val results = withTempDir("emb") { dir =>
-      JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables, dir), queries.take(3), k = 5)
-    }
+  test("embedding NN join over the in-memory index returns ranked joinable tables") {
+    val results = JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables), queries.take(3), k = 5)
     assert(results.size == 3)
     results.foreach { case (q, ranked) =>
       assert(ranked.size <= 5)
@@ -76,36 +77,32 @@ class SearchSpec extends SparkSpec {
   }
 
   test("embedding search equals a brute-force scan across partitions, ties and edge queries") {
-    withTempDir("emb-oracle") { dir =>
-      val base = JoinSearch.embeddingsDf(spark, sketches, tables, dir)
-      val twin = lake.tables(9).table.id
-      // An exact copy of one table under a new id: every query ties on the pair.
-      val emb = base.union(base.where(col("tableId") === twin).withColumn("tableId", lit(s"$twin-copy")))
-        .repartition(7).cache()
-      import spark.implicits._
-      val cols = emb.as[JoinSearch.ColumnEmb].collect().toSeq
-      val lakeSize = cols.map(_.tableId).distinct.size
-      val qs = queries.take(4) ++ Seq(("no-such-table", 0), (queries.head._1, 1))
-      val all = Seq(1, 5, lakeSize + 3).map { k =>
-        val got = JoinSearch.searchEmbeddings(spark, emb, qs, k)
-        assert(got == bruteForce(cols, qs, k), s"k=$k")
-        assert(!got.contains("no-such-table"))
-        got
-      }.last
-      assert(all(queries.head._1).size == lakeSize - 1)
-      val ranked = all(queries(1)._1)
-      assert(ranked.indexOf(s"$twin-copy") == ranked.indexOf(twin) + 1, "tie broken by table id")
-      emb.unpersist()
-    }
+    val base = JoinSearch.embeddingsDf(spark, sketches, tables)
+    val twin = lake.tables(9).table.id
+    // An exact copy of one table under a new id: every query ties on the pair.
+    val emb = base.union(base.where(col("tableId") === twin).withColumn("tableId", lit(s"$twin-copy")))
+      .repartition(7).cache()
+    import spark.implicits._
+    val cols = emb.as[JoinSearch.ColumnEmb].collect().toSeq
+    val lakeSize = cols.map(_.tableId).distinct.size
+    val qs = queries.take(4) ++ Seq(("no-such-table", 0), (queries.head._1, 1))
+    val all = Seq(1, 5, lakeSize + 3).map { k =>
+      val got = JoinSearch.searchEmbeddings(spark, emb, qs, k)
+      assert(got == bruteForce(cols, qs, k), s"k=$k")
+      assert(!got.contains("no-such-table"))
+      got
+    }.last
+    assert(all(queries.head._1).size == lakeSize - 1)
+    val ranked = all(queries(1)._1)
+    assert(ranked.indexOf(s"$twin-copy") == ranked.indexOf(twin) + 1, "tie broken by table id")
+    emb.unpersist()
   }
 
   test("embedding search beats value-overlap baselines on sensible-join GT") {
     def f1(results: Map[String, Seq[String]]): Double =
       Metrics.mean(queries.map { case (q, _) =>
         Metrics.f1AtK(results.getOrElse(q, Seq.empty), JoinSearch.relevant(lake, q), 5) })
-    val ours  = f1(withTempDir("emb2") { dir =>
-      JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables, dir), queries, 5)
-    })
+    val ours  = f1(JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables), queries, 5))
     val josie = f1(JoinSearch.searchJosie(tables, queries, 5))
     assert(ours > 0.2, s"ours $ours")
     assert(ours >= josie - 0.05, s"ours $ours vs josie $josie")
@@ -158,9 +155,7 @@ class SearchSpec extends SparkSpec {
     val k  = lake2.size
     val qs = lake2.keys.filter(_ != empty.id).take(4).toSeq
     val results = Seq(
-      "TabSketchFM join"  -> withTempDir("emb-empty") { dir =>
-        JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sk2, lake2, dir), queries, k)
-      },
+      "TabSketchFM join"  -> JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sk2, lake2), queries, k),
       "LSHForest"         -> JoinSearch.searchLsh(sk2, queries, k),
       "JOSIE"             -> JoinSearch.searchJosie(lake2, queries, k),
       "EmbedJoin"         -> JoinSearch.searchEmbedJoin(lake2, queries, k),
@@ -174,6 +169,50 @@ class SearchSpec extends SparkSpec {
     }
     assert(results.toMap.apply("TabSketchFM union").values.forall(_.size == lake2.size - 2),
       "every other table is still ranked")
+  }
+
+  test("building the join index and answering a join query start no Spark job") {
+    withTempDir("emb-jobs") { dir =>
+      var emb: org.apache.spark.sql.DataFrame = null
+      assert(sparkJobsDuring { emb = JoinSearch.embeddingsDf(spark, sketches, tables, dir) } == 0)
+      assert(sparkJobsDuring(JoinSearch.searchEmbeddings(spark, emb, queries.take(1), 5)) == 0)
+      assert(new java.io.File(dir).list().isEmpty, "the index wrote to its path")
+    }
+  }
+
+  /** Builds an index, answers two queries from it, and returns a weak
+    * reference to its rows; in a method of its own, so no stack slot of
+    * the caller keeps the index alive.
+    */
+  private def searchOnce(): WeakReference[AnyRef] = {
+    val emb = JoinSearch.embeddingsDf(spark, sketches, tables)
+    JoinSearch.searchEmbeddings(spark, emb, queries.take(2), 5)
+    val rows = emb.queryExecution.logical.collectFirst { case r: LocalRelation => r.data }
+    assert(rows.exists(_.size == tables.values.map(_.numCols).sum), "the index is one local relation")
+    new WeakReference(rows.get)
+  }
+
+  test("a join index its callers have dropped becomes unreachable") {
+    val ref = searchOnce()
+    // Each listener-bus thread keeps the last event it dispatched until the
+    // next one arrives, and the last query's SQL end event holds its plan,
+    // so the index. A one-task job moves every queue past that event.
+    spark.sparkContext.parallelize(Seq(1), 1).count()
+    val cleared = (1 to 50).exists { _ => System.gc(); Thread.sleep(100); ref.get == null }
+    assert(cleared, "the index's rows are still reachable after the search returned")
+  }
+
+  test("relevant equals a lake-wide scan with an id map built per call") {
+    def old(queryTable: String): Set[String] = {
+      val byId = lake.tables.map(t => t.table.id -> t).toMap
+      val q = byId(queryTable)
+      lake.tables.filter(t => t.table.id != queryTable && t.classIdx == q.classIdx &&
+                              t.entityIdxs.intersect(q.entityIdxs).nonEmpty)
+        .map(_.table.id).toSet
+    }
+    val got = lake.tables.map(t => JoinSearch.relevant(lake, t.table.id))
+    assert(got == lake.tables.map(t => old(t.table.id)))
+    assert(got.exists(_.nonEmpty) && got.exists(r => r.nonEmpty && r.size < lake.tables.size - 1))
   }
 
   // Registered last, so it runs after every test above has built its index.
