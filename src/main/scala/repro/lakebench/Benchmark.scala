@@ -44,9 +44,30 @@ object Benchmark {
      shuffled.drop(nTrain + nValid))
   }
 
+  /** The pairs `draw` keeps, in order, until there are `n` or it has run `n * 50` times. */
+  def drawPairs(n: Int)(draw: PairSet => Unit): Seq[PairExample] = {
+    val ps = new PairSet
+    var guard = 0
+    while (ps.size < n && guard < n * 50) { guard += 1; draw(ps) }
+    ps.toSeq
+  }
+
   /** Random lake-style table id, e.g. "QCXMIM62QXN0" (Fig. 4). */
   def tableId(rng: Random, len: Int = 12): String = {
     val chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
     (0 until len).map(_ => chars(rng.nextInt(chars.length))).mkString
   }
+}
+
+/** Labeled pairs of distinct tables, at most one per unordered pair. */
+final class PairSet {
+  private val pairs = scala.collection.mutable.ArrayBuffer.empty[PairExample]
+  private val seen  = scala.collection.mutable.HashSet.empty[(String, String)]
+
+  def size: Int = pairs.size
+  def toSeq: Seq[PairExample] = pairs.toSeq
+
+  /** Keeps (a, b) unless a == b or the pair is in; `label` is computed only for a kept pair. */
+  def add(a: String, b: String)(label: => Double): Unit =
+    if (a != b && seen.add(if (a < b) (a, b) else (b, a))) pairs += PairExample(a, b, Array(label))
 }

@@ -102,27 +102,19 @@ object TusSantos {
     val all      = tables.map(_._2)
 
     def pick(ts: Seq[LakeTable]): LakeTable = ts(rng.nextInt(ts.size))
-    val pairs = scala.collection.mutable.ArrayBuffer.empty[PairExample]
-    val seen  = scala.collection.mutable.HashSet.empty[(String, String)]
-    def add(a: String, b: String, label: Double): Unit = {
-      val k = if (a < b) (a, b) else (b, a)
-      if (a != b && seen.add(k)) pairs += PairExample(a, b, Array(label))
-    }
-    var guard = 0
-    while (pairs.size < nPairs && guard < nPairs * 50) {
-      guard += 1
-      if (pairs.size % 2 == 0) {
+    val pairs = Benchmark.drawPairs(nPairs) { ps =>
+      if (ps.size % 2 == 0) {
         val d = rng.nextInt(Domains.size)
-        add(pick(byDomain(d)).id, pick(byDomain(d)).id, 1.0)
+        ps.add(pick(byDomain(d)).id, pick(byDomain(d)).id)(1.0)
       } else {
         val d1 = rng.nextInt(Domains.size)
         var d2 = rng.nextInt(Domains.size)
         while (d2 == d1) d2 = rng.nextInt(Domains.size)
-        add(pick(byDomain(d1)).id, pick(byDomain(d2)).id, 0.0)
+        ps.add(pick(byDomain(d1)).id, pick(byDomain(d2)).id)(0.0)
       }
     }
 
-    val (tr, va, te) = Benchmark.split(pairs.toSeq, seed)
+    val (tr, va, te) = Benchmark.split(pairs, seed)
     Benchmark("TUS-SANTOS", BinaryTask, all.map(t => t.id -> t).toMap, tr, va, te)
   }
 }

@@ -13,25 +13,16 @@ import WikiLake.{Lake, WikiTable}
   */
 object WikiJoin {
 
-  private def buildPairs(lake: Lake, seed: Long, nPairs: Int,
-                         score: (WikiTable, WikiTable) => Double): Seq[PairExample] = {
+  private def build(name: String, lake: Lake, seed: Long, nPairs: Int,
+                    score: (WikiTable, WikiTable) => Double): Benchmark = {
     val rng     = new Random(seed)
     val byClass = lake.tables.groupBy(_.classIdx).view.mapValues(_.toVector).toMap
     val classes = byClass.keys.toVector.sorted
     val ts      = lake.tables.toVector
 
-    val pairs = scala.collection.mutable.ArrayBuffer.empty[PairExample]
-    val seen  = scala.collection.mutable.HashSet.empty[(String, String)]
-    def add(a: WikiTable, b: WikiTable): Unit = {
-      if (a.table.id == b.table.id) return
-      val k = if (a.table.id < b.table.id) (a.table.id, b.table.id) else (b.table.id, a.table.id)
-      if (seen.add(k)) pairs += PairExample(a.table.id, b.table.id, Array(score(a, b)))
-    }
-
-    var guard = 0
-    while (pairs.size < nPairs && guard < nPairs * 50) {
-      guard += 1
-      if (pairs.size % 5 == 4) {
+    val pairs = Benchmark.drawPairs(nPairs) { ps =>
+      def add(a: WikiTable, b: WikiTable): Unit = ps.add(a.table.id, b.table.id)(score(a, b))
+      if (ps.size % 5 == 4) {
         // Cross-class pair: score 0 (disjoint entity spaces).
         val a = ts(rng.nextInt(ts.size))
         val bs = byClass(classes((classes.indexOf(a.classIdx) + 1 + rng.nextInt(classes.size - 1)) % classes.size))
@@ -42,18 +33,13 @@ object WikiJoin {
         if (g.size >= 2) add(g(rng.nextInt(g.size)), g(rng.nextInt(g.size)))
       }
     }
-    pairs.toSeq
+    val (tr, va, te) = Benchmark.split(pairs, seed)
+    Benchmark(name, RegressionTask, lake.lakeTables, tr, va, te)
   }
 
-  def generateJaccard(lake: Lake, seed: Long = 41, nPairs: Int = 1700): Benchmark = {
-    val pairs = buildPairs(lake, seed, nPairs, WikiLake.entityJaccard)
-    val (tr, va, te) = Benchmark.split(pairs, seed)
-    Benchmark("Wiki Jaccard", RegressionTask, lake.lakeTables, tr, va, te)
-  }
+  def generateJaccard(lake: Lake, seed: Long = 41, nPairs: Int = 1700): Benchmark =
+    build("Wiki Jaccard", lake, seed, nPairs, WikiLake.entityJaccard)
 
-  def generateContainment(lake: Lake, seed: Long = 43, nPairs: Int = 2100): Benchmark = {
-    val pairs = buildPairs(lake, seed, nPairs, WikiLake.entityContainment)
-    val (tr, va, te) = Benchmark.split(pairs, seed)
-    Benchmark("Wiki Containment", RegressionTask, lake.lakeTables, tr, va, te)
-  }
+  def generateContainment(lake: Lake, seed: Long = 43, nPairs: Int = 2100): Benchmark =
+    build("Wiki Containment", lake, seed, nPairs, WikiLake.entityContainment)
 }

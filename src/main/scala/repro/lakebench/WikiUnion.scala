@@ -2,7 +2,7 @@ package repro.lakebench
 
 import scala.util.Random
 
-import WikiLake.{Lake, WikiTable}
+import WikiLake.Lake
 
 /** Wiki Union binary classification (§5.1.2): positives are fully
   * unionable table pairs (same concept, same property set); negatives are
@@ -26,38 +26,28 @@ object WikiUnion {
 
     val posGroups = byClassSig.values.filter(_.size >= 2).toVector
 
-    val pairs = scala.collection.mutable.ArrayBuffer.empty[PairExample]
-    val seen  = scala.collection.mutable.HashSet.empty[(String, String)]
-    def add(a: WikiTable, b: WikiTable, label: Double): Boolean = {
-      if (a.table.id == b.table.id) return false
-      val k = if (a.table.id < b.table.id) (a.table.id, b.table.id) else (b.table.id, a.table.id)
-      if (seen.add(k)) { pairs += PairExample(a.table.id, b.table.id, Array(label)); true } else false
-    }
-
     require(posGroups.nonEmpty, "wiki lake has no unionable group — corpus too small")
     // Every negative is anchored at the table of the positive generated
     // just before it, so schema size (the only thing cryptic headers can
     // reveal) is identically distributed across labels.
-    var guard = 0
     var toggle = false
-    while (pairs.size < nPairs && guard < nPairs * 50) {
-      guard += 1
+    val pairs = Benchmark.drawPairs(nPairs) { ps =>
       val g = pick(posGroups)
       val a = pick(g)
-      add(a, pick(g), 1.0)
+      ps.add(a.table.id, pick(g).table.id)(1.0)
       toggle = !toggle
       val crossPartners = bySig(a.schemaSig).filter(_.classIdx != a.classIdx)
       if (toggle && crossPartners.nonEmpty) {
         // negative (a): same schema set, different class
-        add(a, pick(crossPartners), 0.0)
+        ps.add(a.table.id, pick(crossPartners).table.id)(0.0)
       } else {
         // negative (b): same #cols, different schema set
         val bs = byNCols(a.schema.size).filter(_.schemaSig != a.schemaSig)
-        if (bs.nonEmpty) add(a, pick(bs), 0.0)
+        if (bs.nonEmpty) ps.add(a.table.id, pick(bs).table.id)(0.0)
       }
     }
 
-    val (tr, va, te) = Benchmark.split(pairs.toSeq, seed)
+    val (tr, va, te) = Benchmark.split(pairs, seed)
     Benchmark("Wiki Union", BinaryTask, lake.lakeTables, tr, va, te)
   }
 }

@@ -38,17 +38,16 @@ object RepCache {
       .computeIfAbsent(kind, _ => compute).asInstanceOf[T]
 }
 
-/** TabSketchFM (ours): features from the paper's three sketch families,
-  * with the ablation mask (Tables 3–4). The corpus is sketched on the
-  * driver pool by [[TableSketcher.sketchCorpus]], without a Spark job.
+/** TabSketchFM (ours): features from the paper's three sketch families, over
+  * a corpus sketched on the driver pool without a Spark job. An ablation
+  * (Tables 3–4) masks them afterwards with a [[SketchMask]].
   */
-case class SketchFeaturizer(mask: SketchMask = SketchMask.all, label: String = "TabSketchFM")
-    extends PairFeaturizer {
-  def name: String = label
+object SketchFeaturizer extends PairFeaturizer {
+  val name: String = "TabSketchFM"
 
   def prepare(spark: SparkSession, tables: Map[String, LakeTable]): (String, String) => Array[Double] = {
     val sketches = RepCache.getOrCompute(tables, "sketches")(TableSketcher.sketchCorpus(tables))
-    (a, b) => TabSketchFm.features(sketches(a), sketches(b), mask)
+    (a, b) => TabSketchFm.features(sketches(a), sketches(b))
   }
 }
 
@@ -114,7 +113,7 @@ object Baselines {
   val tabbie: PairFeaturizer = FrozenFeaturizer("TABBIE", TabbieBudget, seed = 202)
   val tuta: PairFeaturizer   = ValueModelFeaturizer("TUTA", TutaBudget, useValues = true, useNumeric = true)
   val tabert: PairFeaturizer = ValueModelFeaturizer("TaBERT", TaBertBudget, useValues = true, useNumeric = false)
-  val tabSketchFm: PairFeaturizer = SketchFeaturizer()
+  val tabSketchFm: PairFeaturizer = SketchFeaturizer
 
   val table2Roster: Seq[PairFeaturizer] =
     Seq(vanillaBert, tapas, tabbie, tuta, tabert, tabSketchFm)

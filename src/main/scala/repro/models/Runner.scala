@@ -51,11 +51,9 @@ object Runner {
     }
   }
 
-  /** Metric mean ± stdev across seeds (paper reports five random seeds). */
-  def run(spark: SparkSession, fz: PairFeaturizer, bench: Benchmark,
-          seeds: Seq[Long] = Seq(0L, 1L, 2L, 3L, 4L)): (Double, Double) = {
-    val fs = featurize(spark, fz, bench)
-    val scores = seeds.map(s => trainEval(bench.task, fs, s))
+  /** Metric mean ± stdev across seeds (paper reports five random seeds) of one set of features. */
+  def evaluate(task: TaskType, fs: FeatureSets, seeds: Seq[Long]): (Double, Double) = {
+    val scores = seeds.map(s => trainEval(task, fs, s))
     (Metrics.mean(scores), Metrics.stdev(scores))
   }
 

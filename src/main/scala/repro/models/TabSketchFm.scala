@@ -4,21 +4,29 @@ import repro.core.{ColumnSketch, MinHash, TableSketch}
 import repro.core.Similarity.{bestMatch, fracAbove, max, rangeOverlap, relDiff, topMean}
 import repro.nn.Metrics.mean
 
-/** Which sketch families feed the pair featurizer — drives the paper's
-  * ablations (Tables 3 and 4). Header/description tokens are always
-  * present, mirroring the model's token embeddings which exist in every
-  * configuration of the paper.
+/** Which sketch families a TabSketchFM run keeps — the paper's ablations
+  * (Tables 3 and 4). A mask zeroes the disabled groups' columns of the
+  * full feature vector; the MLP is retrained per mask, so zeros are inert
+  * inputs. Header/description tokens are always present, mirroring the
+  * model's token embeddings which exist in every configuration of the paper.
   */
-case class SketchMask(minhash: Boolean = true, numerical: Boolean = true, content: Boolean = true)
+case class SketchMask(minhash: Boolean = true, numerical: Boolean = true, content: Boolean = true) {
+  import TabSketchFm.{Dim, HeaderDim, MinhashDim, NumDim}
 
-object SketchMask {
-  val all: SketchMask          = SketchMask()
-  val onlyMinhash: SketchMask  = SketchMask(minhash = true, numerical = false, content = false)
-  val onlyNumerical: SketchMask = SketchMask(minhash = false, numerical = true, content = false)
-  val onlyContent: SketchMask  = SketchMask(minhash = false, numerical = false, content = true)
-  val noMinhash: SketchMask    = SketchMask(minhash = false)
-  val noNumerical: SketchMask  = SketchMask(numerical = false)
-  val noContent: SketchMask    = SketchMask(content = false)
+  /** A copy of a `TabSketchFm.features` vector with the disabled groups' columns zeroed. */
+  def apply(x: Array[Double]): Array[Double] = {
+    require(x.length == Dim, s"a TabSketchFM vector has $Dim features, not ${x.length}")
+    val (m, n) = (HeaderDim + MinhashDim, HeaderDim + MinhashDim + NumDim)
+    val out = x.clone()
+    if (!minhash) java.util.Arrays.fill(out, HeaderDim, m, 0.0)
+    if (!numerical) java.util.Arrays.fill(out, m, n, 0.0)
+    if (!content) java.util.Arrays.fill(out, n, Dim, 0.0)
+    out
+  }
+
+  /** A copy of TabSketchFM's feature sets with every vector masked; the labels are shared. */
+  def apply(fs: Runner.FeatureSets): Runner.FeatureSets =
+    fs.copy(xTrain = fs.xTrain.map(apply), xValid = fs.xValid.map(apply), xTest = fs.xTest.map(apply))
 }
 
 /** TabSketchFM's substitute scorer input: pairwise features computed from
@@ -135,16 +143,10 @@ object TabSketchFm {
     MinHash.containment(b.contentMinHash, a.contentMinHash, b.distinctRowCount, a.distinctRowCount),
   )
 
-  /** Full pair feature vector; disabled groups are zeroed (the MLP is
-    * retrained per mask, so zeros are inert inputs).
-    */
-  def features(a: TableSketch, b: TableSketch, mask: SketchMask = SketchMask.all): Array[Double] = {
+  /** Full pair feature vector: header, MinHash, numerical and content groups, in that order. */
+  def features(a: TableSketch, b: TableSketch): Array[Double] = {
     val (ha, hb) = (header(a), header(b))
     val shared = sharedNames(ha, hb)
-    val h = headerFeatures(ha, hb)
-    val m = if (mask.minhash) minhashFeatures(a, b, shared) else new Array[Double](MinhashDim)
-    val n = if (mask.numerical) numericalFeatures(a, b, shared) else new Array[Double](NumDim)
-    val c = if (mask.content) contentFeatures(a, b) else new Array[Double](ContentDim)
-    h ++ m ++ n ++ c
+    headerFeatures(ha, hb) ++ minhashFeatures(a, b, shared) ++ numericalFeatures(a, b, shared) ++ contentFeatures(a, b)
   }
 }

@@ -61,8 +61,8 @@ final class Mlp private (val task: Mlp.Task, val nIn: Int, seed: Long) {
   private val b2 = Array.fill(nOut)(0.0)
 
   // Standardization fit on train.
-  private var mu: Array[Double]    = Array.fill(nIn)(0.0)
-  private var sigma: Array[Double] = Array.fill(nIn)(1.0)
+  private val mu: Array[Double]    = Array.fill(nIn)(0.0)
+  private val sigma: Array[Double] = Array.fill(nIn)(1.0)
 
   // Adam state.
   private def zeros2(r: Int, c: Int) = Array.fill(r, c)(0.0)

@@ -27,11 +27,10 @@ object Reports {
              roster: Seq[PairFeaturizer] = Baselines.table2Roster,
              benches: Seq[Benchmark] = LakeBenchSuite.all): (Seq[String], Seq[Cell]) = {
     val cells = for (b <- benches; m <- roster) yield {
-      val (mean, std) = Runner.run(spark, m, b, seeds)
+      val (mean, std) = Runner.evaluate(b.task, Runner.featurize(spark, m, b), seeds)
       Cell(b.name, m.name, Runner.metricName(b.task), mean, std)
     }
-    val lines = render(cells, roster.map(_.name))
-    (lines, cells)
+    (render(cells, roster.map(_.name)), cells)
   }
 
   private def render(cells: Seq[Cell], models: Seq[String]): Seq[String] = {
@@ -51,20 +50,29 @@ object Reports {
     * family, seed 0, over the seven non-TUS tasks.
     */
   def table3(spark: SparkSession): (Seq[String], Seq[Cell]) = ablation(spark,
-    SketchMask.onlyMinhash -> "MinHash only",
-    SketchMask.onlyNumerical -> "Numerical only",
-    SketchMask.onlyContent -> "Content only")
+    SketchMask(numerical = false, content = false) -> "MinHash only",
+    SketchMask(minhash = false, content = false) -> "Numerical only",
+    SketchMask(minhash = false, numerical = false) -> "Content only")
 
   /** Leave-one-sketch-out ablation (Table 4). */
   def table4(spark: SparkSession): (Seq[String], Seq[Cell]) = ablation(spark,
-    SketchMask.noMinhash -> "No MinHash",
-    SketchMask.noNumerical -> "No Numerical",
-    SketchMask.noContent -> "No Content")
+    SketchMask(minhash = false) -> "No MinHash",
+    SketchMask(numerical = false) -> "No Numerical",
+    SketchMask(content = false) -> "No Content")
 
-  /** Each masked TabSketchFM, then all sketches, at seed 0 on the ablation benchmarks. */
+  /** Each mask, then all sketches, at seed 0 on the ablation benchmarks:
+    * one featurization per benchmark, each mask trained on a masked copy.
+    */
   private def ablation(spark: SparkSession, masks: (SketchMask, String)*): (Seq[String], Seq[Cell]) = {
-    val roster = (masks :+ (SketchMask.all -> "TabSketchFM (all)")).map { case (m, n) => SketchFeaturizer(m, n) }
-    table2(spark, seeds = Seq(0L), roster = roster, benches = LakeBenchSuite.ablationSet)
+    val named = masks :+ (SketchMask() -> "TabSketchFM (all)")
+    val cells = LakeBenchSuite.ablationSet.flatMap { b =>
+      val fs = Runner.featurize(spark, SketchFeaturizer, b)
+      named.map { case (mask, model) =>
+        val (mean, std) = Runner.evaluate(b.task, mask(fs), Seq(0L))
+        Cell(b.name, model, Runner.metricName(b.task), mean, std)
+      }
+    }
+    (render(cells, named.map(_._2)), cells)
   }
 
   def cellOf(cells: Seq[Cell], bench: String, model: String): Double =

@@ -82,13 +82,18 @@ object Embeddings {
     l2(mh ++ tok ++ num ++ hdr ++ ctx ++ vals)
   }
 
+  /** Each column's embedding, in column order, with the table's context block. */
+  def columns(s: TableSketch, t: LakeTable): Seq[Array[Double]] = {
+    val ctx = tableContext(s)
+    s.columns.map(c => column(c, t.values(c.position), ctx))
+  }
+
   /** Table embedding for union search: mean of its column embeddings plus
     * a content-snapshot block and a header-token block (column-name tokens
     * are first-class inputs to the model, §3).
     */
   def table(s: TableSketch, t: LakeTable): Array[Double] = {
-    val ctx  = tableContext(s)
-    val cols = s.columns.map(c => column(c, t.values(c.position), ctx))
+    val cols = columns(s, t)
     val dim  = cols.headOption.fold(columnDim)(_.length)
     val mean = new Array[Double](dim)
     cols.foreach { e => var i = 0; while (i < dim) { mean(i) += e(i) / cols.size; i += 1 } }

@@ -33,27 +33,26 @@ object JoinSearch {
                    tables: Map[String, LakeTable], path: String = ""): DataFrame = {
     import spark.implicits._
     val rows = Parallel.map(sketches.values.toSeq) { s =>
-      val t   = tables(s.tableId)
-      val ctx = Embeddings.tableContext(s)
-      s.columns.map(c => ColumnEmb(s.tableId, c.position,
-        Embeddings.column(c, t.values(c.position), ctx)))
+      s.columns.zip(Embeddings.columns(s, tables(s.tableId)))
+        .map { case (c, e) => ColumnEmb(s.tableId, c.position, e) }
     }.flatten
     spark.createDataset(rows).toDF()
   }
 
   /** Top-k joinable tables per query (queries are (tableId, colIdx) of the
-    * entity columns), scored on the driver. The index is collected once —
-    * `embeddingsDf`'s local Dataset returns its rows without a Spark job,
-    * an index held in Spark partitions with one — then each query table
-    * keeps every other table's best cosine over its query columns and
-    * ranks them with `Ranking.top`. Cosines of finite vectors are never NaN
-    * or −0.0, so the max is the same in any order and a plain `>` agrees
-    * with `Ranking`'s order.
+    * entity columns), scored on the driver. The index rows are read once
+    * with the physical plan's `executeCollect` — no Spark job on
+    * `embeddingsDf`'s local Dataset, one on an index in Spark partitions —
+    * and not with a Dataset action, whose SQL end event holds the plan (so
+    * the index) while it is a listener-bus thread's last. Each query table
+    * keeps every other table's best cosine over its query columns, ranked
+    * by `Ranking.top`; cosines of finite vectors are never NaN or −0.0, so
+    * the max is the same in any order and a plain `>` agrees with `Ranking`.
     */
   def searchEmbeddings(spark: SparkSession, emb: DataFrame,
                        queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    import spark.implicits._
-    val cols = emb.as[ColumnEmb].collect()
+    val cols = emb.select("tableId", "colIdx", "emb").queryExecution.executedPlan.executeCollect()
+      .map(r => ColumnEmb(r.getUTF8String(0).toString, r.getInt(1), r.getArray(2).toDoubleArray()))
     val wanted = queries.toSet
     cols.filter(c => wanted((c.tableId, c.colIdx))).groupBy(_.tableId).map { case (qTable, qCols) =>
       val best = mutable.HashMap.empty[String, Double]

@@ -2,7 +2,7 @@ package repro
 
 import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -29,17 +29,23 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     finally org.apache.commons.io.FileUtils.deleteDirectory(dir)
   }
 
-  /** The number of Spark jobs that `body` starts. A one-task marker job
-    * before and after `body` brackets its jobs in the listener bus's order,
-    * so jobs of earlier code still queued on the bus are not counted.
+  /** The number of Spark jobs that `body` starts. */
+  def sparkJobsDuring(body: => Any): Int =
+    sparkEventsDuring(body).count(_.isInstanceOf[SparkListenerJobStart])
+
+  /** The job starts and the events without a callback of their own (SQL
+    * executions among them) that `body` posts. A one-task marker job
+    * before and after `body` brackets them in the listener bus's order,
+    * so events of earlier code still queued on the bus are not counted.
     */
-  def sparkJobsDuring(body: => Any): Int = {
+  def sparkEventsDuring(body: => Any): Seq[SparkListenerEvent] = {
     val sc = spark.sparkContext
-    val key = "repro.sparkJobsDuring"
-    val started = new LinkedBlockingQueue[String]
+    val key = "repro.sparkEventsDuring"
+    val seen = new LinkedBlockingQueue[Either[String, SparkListenerEvent]]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        started.put(Option(e.properties).flatMap(p => Option(p.getProperty(key))).getOrElse("job"))
+        seen.put(Option(e.properties).flatMap(p => Option(p.getProperty(key))).toLeft(e))
+      override def onOtherEvent(e: SparkListenerEvent): Unit = seen.put(Right(e))
     }
     def marker(name: String): Unit = {
       sc.setLocalProperty(key, name)
@@ -50,9 +56,10 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       marker("begin")
       body
       marker("end")
-      Iterator.continually(started.poll(60, TimeUnit.SECONDS))
+      Iterator.continually(seen.poll(60, TimeUnit.SECONDS))
         .map { e => assert(e != null, "no marker job reached the listener bus within 60 s"); e }
-        .dropWhile(_ != "begin").drop(1).takeWhile(_ != "end").size
+        .dropWhile(_ != Left("begin")).drop(1).takeWhile(_ != Left("end"))
+        .collect { case Right(e) => e }.toSeq
     } finally sc.removeSparkListener(listener)
   }
 

@@ -197,6 +197,40 @@ class GeneratorsSpec extends AnyFunSuite {
     }
   }
 
+  // Benchmark name -> (pair count, digest of every pair's ids and label
+  // bits) at default parameters, taken while each generator kept its own
+  // set of seen pairs.
+  private val defaultPairs: Map[String, (Int, String)] = Map(
+    "TUS-SANTOS"       -> (2800, "8775f6effd708e6f"),
+    "Wiki Union"       -> (4200, "342203626791a922"),
+    "ECB Union"        -> (2100, "73e3b2a31a58f432"),
+    "Wiki Jaccard"     -> (1700, "150380f545da2bad"),
+    "Wiki Containment" -> (2100, "12778084d4981858"),
+    "Spider-OpenData"  -> (1440, "388cdd9f26de7026"),
+    "ECB Join"         -> (2016, "6c24965370b46615"),
+    "CKAN Subset"      -> (2000, "8fa4132e7f239687"),
+  )
+
+  private def pairsDigest(ps: Seq[PairExample]): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    ps.foreach { p =>
+      md.update(p.t1.getBytes("UTF-8")); md.update(0.toByte)
+      md.update(p.t2.getBytes("UTF-8")); md.update(0.toByte)
+      p.label.foreach { l =>
+        md.update(java.nio.ByteBuffer.allocate(8).putLong(java.lang.Double.doubleToRawLongBits(l)).array())
+      }
+    }
+    md.digest().take(8).map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  test("every default benchmark keeps its exact pairs, splits and labels") {
+    assert(LakeBenchSuite.all.map(_.name).toSet == defaultPairs.keySet)
+    for (b <- LakeBenchSuite.all) {
+      val got = (b.allPairs.size, pairsDigest(b.allPairs))
+      assert(defaultPairs.get(b.name).contains(got), s"${b.name}: $got")
+    }
+  }
+
   test("generators are deterministic in their seed") {
     val again = TusSantos.generate(seed = 5, perSeed = 6, nPairs = 300)
     assert(again.train.map(p => (p.t1, p.t2, p.label(0))) == tus.train.map(p => (p.t1, p.t2, p.label(0))))

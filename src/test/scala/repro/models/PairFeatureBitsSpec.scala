@@ -58,30 +58,52 @@ class PairFeatureBitsSpec extends SparkSpec {
   }
 
   private def sketchFeatures(mask: SketchMask)(a: LakeTable, b: LakeTable): Array[Double] =
-    TabSketchFm.features(TableSketcher.sketch(a), TableSketcher.sketch(b), mask)
+    mask(TabSketchFm.features(TableSketcher.sketch(a), TableSketcher.sketch(b)))
 
   private def prepared(fz: PairFeaturizer)(a: LakeTable, b: LakeTable): Array[Double] =
     fz.prepare(spark, corpus)(a.id, b.id)
 
   private val featurizers: Seq[(String, (LakeTable, LakeTable) => Array[Double])] = Seq(
-    "TabSketchFM"               -> sketchFeatures(SketchMask.all),
-    "TabSketchFM w/o numerical" -> sketchFeatures(SketchMask.noNumerical),
-    "Vanilla BERT"              -> prepared(Baselines.vanillaBert),
-    "TUTA"                      -> prepared(Baselines.tuta),
-    "TaBERT"                    -> prepared(Baselines.tabert),
-    "TAPAS"                     -> prepared(Baselines.tapas),
-    "TABBIE"                    -> prepared(Baselines.tabbie),
+    "TabSketchFM"                -> sketchFeatures(SketchMask()),
+    "TabSketchFM MinHash only"   -> sketchFeatures(SketchMask(numerical = false, content = false)),
+    "TabSketchFM numerical only" -> sketchFeatures(SketchMask(minhash = false, content = false)),
+    "TabSketchFM content only"   -> sketchFeatures(SketchMask(minhash = false, numerical = false)),
+    "TabSketchFM w/o MinHash"    -> sketchFeatures(SketchMask(minhash = false)),
+    "TabSketchFM w/o numerical"  -> sketchFeatures(SketchMask(numerical = false)),
+    "TabSketchFM w/o content"    -> sketchFeatures(SketchMask(content = false)),
+    "Vanilla BERT"               -> prepared(Baselines.vanillaBert),
+    "TUTA"                       -> prepared(Baselines.tuta),
+    "TaBERT"                     -> prepared(Baselines.tabert),
+    "TAPAS"                      -> prepared(Baselines.tapas),
+    "TABBIE"                     -> prepared(Baselines.tabbie),
   )
 
   // (featurizer, pair) -> (width, digest), taken before the header block
-  // and the shared-name slots were merged into one helper.
+  // and the shared-name slots were merged into one helper. The masked
+  // TabSketchFM vectors were taken while the featurizer itself left the
+  // disabled groups' features uncomputed and zero.
   private val expected: Map[(String, String), (Int, String)] = Map(
     ("TabSketchFM", "shared") -> (129, "8170ce3659cad71a"),
     ("TabSketchFM", "case-colliding") -> (129, "d21f4567863073a7"),
     ("TabSketchFM", "wide") -> (129, "57e1cb73a1a25fa2"),
+    ("TabSketchFM MinHash only", "shared") -> (129, "ee019a71e4e0c4de"),
+    ("TabSketchFM MinHash only", "case-colliding") -> (129, "2fc6c02d007c43e0"),
+    ("TabSketchFM MinHash only", "wide") -> (129, "8a30bcea2119ba2b"),
+    ("TabSketchFM numerical only", "shared") -> (129, "00b0b6827940bdbc"),
+    ("TabSketchFM numerical only", "case-colliding") -> (129, "ab0d78548ed6ddfb"),
+    ("TabSketchFM numerical only", "wide") -> (129, "6814408f50c09e32"),
+    ("TabSketchFM content only", "shared") -> (129, "4f8e2533ca30b222"),
+    ("TabSketchFM content only", "case-colliding") -> (129, "cfc9e0dafc13d647"),
+    ("TabSketchFM content only", "wide") -> (129, "27f379909b4357a7"),
+    ("TabSketchFM w/o MinHash", "shared") -> (129, "00b0b6827940bdbc"),
+    ("TabSketchFM w/o MinHash", "case-colliding") -> (129, "ab0d78548ed6ddfb"),
+    ("TabSketchFM w/o MinHash", "wide") -> (129, "6814408f50c09e32"),
     ("TabSketchFM w/o numerical", "shared") -> (129, "ee019a71e4e0c4de"),
     ("TabSketchFM w/o numerical", "case-colliding") -> (129, "2fc6c02d007c43e0"),
     ("TabSketchFM w/o numerical", "wide") -> (129, "8a30bcea2119ba2b"),
+    ("TabSketchFM w/o content", "shared") -> (129, "8170ce3659cad71a"),
+    ("TabSketchFM w/o content", "case-colliding") -> (129, "d21f4567863073a7"),
+    ("TabSketchFM w/o content", "wide") -> (129, "57e1cb73a1a25fa2"),
     ("Vanilla BERT", "shared") -> (38, "4d00209edc5ae9c1"),
     ("Vanilla BERT", "case-colliding") -> (38, "5648c1074ceb95c7"),
     ("Vanilla BERT", "wide") -> (38, "5865269bee4bc37e"),
@@ -110,7 +132,7 @@ class PairFeatureBitsSpec extends SparkSpec {
   test("TabSketchFM's header block equals ValueFeaturizer.headerFeatures on unbounded views") {
     val unbounded = ValueFeaturizer.Budget(Int.MaxValue, Int.MaxValue, 0)
     for ((pairName, a, b) <- pairs) {
-      val fromSketch = sketchFeatures(SketchMask.all)(a, b).take(TabSketchFm.HeaderDim)
+      val fromSketch = sketchFeatures(SketchMask())(a, b).take(TabSketchFm.HeaderDim)
       val fromView = PairFeatures.headerFeatures(ValueFeaturizer.view(a, unbounded).header,
                                                  ValueFeaturizer.view(b, unbounded).header)
       assert(hex(fromSketch) == hex(fromView), pairName)

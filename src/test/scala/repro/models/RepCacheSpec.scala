@@ -27,9 +27,8 @@ class RepCacheSpec extends SparkSpec {
     val (first, second) = found.getOrElse(fail(s"no identity-hash collision among $i corpora"))
     byHash.clear()
 
-    val fz = SketchFeaturizer()
-    val f1 = fz.prepare(spark, first)
-    val f2 = fz.prepare(spark, second)
+    val f1 = SketchFeaturizer.prepare(spark, first)
+    val f2 = SketchFeaturizer.prepare(spark, second)
     for ((c, f) <- Seq(first -> f1, second -> f2)) {
       val (id, t) = c.head
       val expected = TabSketchFm.features(TableSketcher.sketch(t), TableSketcher.sketch(t))

@@ -39,15 +39,16 @@ class TabSketchFmSpec extends AnyFunSuite {
 
   test("masking zeroes exactly the disabled group") {
     val full = TabSketchFm.features(base, same)
-    val noMh = TabSketchFm.features(base, same, SketchMask.noMinhash)
+    val noMh = SketchMask(minhash = false)(full)
     val h = TabSketchFm.HeaderDim; val m = TabSketchFm.MinhashDim
     assert(noMh.slice(h, h + m).forall(_ == 0.0))
+    assert(full.slice(h, h + m).exists(_ != 0.0), "input vector unchanged")
     assert(noMh.take(h).sameElements(full.take(h)), "header group unaffected")
     assert(noMh.drop(h + m).sameElements(full.drop(h + m)), "later groups unaffected")
   }
 
   test("only-X masks keep exactly header + that group") {
-    val f = TabSketchFm.features(base, same, SketchMask.onlyNumerical)
+    val f = SketchMask(minhash = false, content = false)(TabSketchFm.features(base, same))
     val h = TabSketchFm.HeaderDim; val m = TabSketchFm.MinhashDim; val n = TabSketchFm.NumDim
     assert(f.slice(h, h + m).forall(_ == 0.0), "minhash zeroed")
     assert(f.drop(h + m + n).forall(_ == 0.0), "content zeroed")

@@ -42,9 +42,8 @@ class SearchRankingBitsSpec extends SparkSpec {
       .take(8).map(b => f"${b & 0xff}%02x").mkString
 
   private val methods: Seq[(String, Int => Map[String, Seq[String]])] = Seq(
-    "TabSketchFM join"  -> (k => withTempDir("emb-pins") { dir =>
-      JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables, dir), joinQueries, k)
-    }),
+    "TabSketchFM join"  -> (k =>
+      JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables), joinQueries, k)),
     "LSHForest"         -> (k => JoinSearch.searchLsh(sketches, joinQueries, k)),
     "JOSIE"             -> (k => JoinSearch.searchJosie(tables, joinQueries, k)),
     "EmbedJoin"         -> (k => JoinSearch.searchEmbedJoin(tables, joinQueries, k)),
