@@ -2,7 +2,7 @@ package repro.search
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 
 import repro.core.{MinHash, Parallel, Similarity, TableSketch, Tokenizer}
 import repro.lake.LakeTable
@@ -26,33 +26,25 @@ object JoinSearch {
   case class ColumnEmb(tableId: String, colIdx: Int, emb: Array[Double])
 
   /** The column-embedding index: one `ColumnEmb` per lake column, computed
-    * on the `Parallel` pool and held as a local Dataset in driver memory.
-    * `path` is unused; it stays for callers that still pass one.
+    * on the `Parallel` pool and held in driver memory. `spark` and `path`
+    * are unused; they go once perfbench's `search` workload stops passing them.
     */
   def embeddingsDf(spark: SparkSession, sketches: Map[String, TableSketch],
-                   tables: Map[String, LakeTable], path: String = ""): DataFrame = {
-    import spark.implicits._
-    val rows = Parallel.map(sketches.values.toSeq) { s =>
+                   tables: Map[String, LakeTable], path: String = ""): Seq[ColumnEmb] =
+    Parallel.map(sketches.values.toSeq) { s =>
       s.columns.zip(Embeddings.columns(s, tables(s.tableId)))
         .map { case (c, e) => ColumnEmb(s.tableId, c.position, e) }
     }.flatten
-    spark.createDataset(rows).toDF()
-  }
 
   /** Top-k joinable tables per query (queries are (tableId, colIdx) of the
-    * entity columns), scored on the driver. The index rows are read once
-    * with the physical plan's `executeCollect` — no Spark job on
-    * `embeddingsDf`'s local Dataset, one on an index in Spark partitions —
-    * and not with a Dataset action, whose SQL end event holds the plan (so
-    * the index) while it is a listener-bus thread's last. Each query table
-    * keeps every other table's best cosine over its query columns, ranked
-    * by `Ranking.top`; cosines of finite vectors are never NaN or −0.0, so
-    * the max is the same in any order and a plain `>` agrees with `Ranking`.
+    * entity columns), one scan of the index per query table. Each query
+    * table keeps every other table's best cosine over its query columns,
+    * ranked by `Ranking.top`; cosines of finite vectors are never NaN or
+    * −0.0, so the max is the same in any order and a plain `>` agrees with
+    * `Ranking`. `spark` is unused, like `embeddingsDf`'s.
     */
-  def searchEmbeddings(spark: SparkSession, emb: DataFrame,
+  def searchEmbeddings(spark: SparkSession, cols: Seq[ColumnEmb],
                        queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val cols = emb.select("tableId", "colIdx", "emb").queryExecution.executedPlan.executeCollect()
-      .map(r => ColumnEmb(r.getUTF8String(0).toString, r.getInt(1), r.getArray(2).toDoubleArray()))
     val wanted = queries.toSet
     cols.filter(c => wanted((c.tableId, c.colIdx))).groupBy(_.tableId).map { case (qTable, qCols) =>
       val best = mutable.HashMap.empty[String, Double]

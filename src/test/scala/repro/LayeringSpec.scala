@@ -10,7 +10,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * (`core`, `lake`, `nn`) use no code from `models`, `search` or `report`,
   * `core` and `lake` use none from `nn`, and `search` uses none from
   * `models`. An import and a fully qualified name both count as a use;
-  * comments do not.
+  * comments do not. `search` also names no Spark `Dataset` or `DataFrame`,
+  * so its indexes stay plain driver-side values.
   */
 class LayeringSpec extends AnyFunSuite {
 
@@ -25,23 +26,36 @@ class LayeringSpec extends AnyFunSuite {
     "lake"   -> Seq("nn"),
   )
 
+  private def withoutComments(src: String): String =
+    src.replaceAll("(?s)/\\*.*?\\*/", " ").replaceAll("//[^\n]*", "")
+
   /** The packages among `layers` that Scala source `src` uses outside its
     * comments, as `repro.layer` or inside `import repro.{...}`.
     */
   private def uses(src: String, layers: Seq[String]): Seq[String] = {
-    val code = src.replaceAll("(?s)/\\*.*?\\*/", " ").replaceAll("//[^\n]*", "")
+    val code = withoutComments(src)
     layers.filter { l =>
       s"\\brepro\\s*\\.\\s*$l\\b".r.findFirstIn(code).isDefined ||
       s"\\brepro\\s*\\.\\s*\\{[^}]*\\b$l\\b".r.findFirstIn(code).isDefined
     }
   }
 
-  private def sources(layer: String): Seq[Path] = {
+  /** The identifiers containing `Dataset` or `DataFrame` that `src` names outside its comments. */
+  private def sparkTables(src: String): Seq[String] =
+    "\\w*(Dataset|DataFrame)\\w*".r.findAllIn(withoutComments(src)).toSeq.distinct
+
+  /** Fails naming each main source file of `layer` in which `hits` finds something. */
+  private def assertNone(layer: String)(hits: String => Seq[String]): Unit = {
     val dir = root.resolve(layer)
     assert(Files.isDirectory(dir), s"$dir not found from ${Paths.get("").toAbsolutePath}")
     val walk = Files.walk(dir)
-    try walk.iterator.asScala.filter(_.toString.endsWith(".scala")).toList
-    finally walk.close()
+    val files = try walk.iterator.asScala.filter(_.toString.endsWith(".scala")).toList finally walk.close()
+    assert(files.nonEmpty, s"no sources under repro.$layer")
+    val offenders = files.flatMap { f =>
+      val hit = hits(new String(Files.readAllBytes(f), "UTF-8"))
+      if (hit.isEmpty) None else Some(s"$f: ${hit.mkString(", ")}")
+    }
+    assert(offenders.isEmpty, offenders.mkString("; "))
   }
 
   test("the guard sees imports and qualified names, not comments") {
@@ -54,14 +68,14 @@ class LayeringSpec extends AnyFunSuite {
     assert(uses("import repro.modelsx.A", layers).isEmpty)
   }
 
+  test("the Spark-table guard sees code, not comments") {
+    assert(sparkTables("import org.apache.spark.sql.{DataFrame, SparkSession}") == Seq("DataFrame"))
+    assert(sparkTables("def f(ds: Dataset[Row]) = spark.createDataset(rows)") == Seq("Dataset", "createDataset"))
+    assert(sparkTables("/** Not a `Dataset`. */\nval datasets = Seq(dataFrame) // nor a DataFrame").isEmpty)
+  }
+
+  test("repro.search names no Spark Dataset or DataFrame")(assertNone("search")(sparkTables))
+
   for ((layer, banned) <- forbidden)
-    test(s"repro.$layer uses nothing from ${banned.map("repro." + _).mkString(", ")}") {
-      val files = sources(layer)
-      assert(files.nonEmpty, s"no sources under repro.$layer")
-      val offenders = files.flatMap { f =>
-        val hit = uses(new String(Files.readAllBytes(f), "UTF-8"), banned)
-        if (hit.isEmpty) None else Some(s"$f uses ${hit.mkString(", ")}")
-      }
-      assert(offenders.isEmpty, offenders.mkString("; "))
-    }
+    test(s"repro.$layer uses nothing from ${banned.map("repro." + _).mkString(", ")}")(assertNone(layer)(uses(_, banned)))
 }

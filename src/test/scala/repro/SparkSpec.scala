@@ -62,11 +62,6 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
         .collect { case Right(e) => e }.toSeq
     } finally sc.removeSparkListener(listener)
   }
-
-  /** The names in `java.io.tmpdir` that start with `prefix`. */
-  def tempDirs(prefix: String): Set[String] =
-    Option(new java.io.File(System.getProperty("java.io.tmpdir")).list())
-      .fold(Set.empty[String])(_.filter(_.startsWith(prefix)).toSet)
 }
 
 object SparkSpec {

@@ -38,10 +38,20 @@ class PairFeatureBitsSpec extends SparkSpec {
   private val wideB = LakeTable("wide_b.csv", "another wide table", wideNames.reverse :+ "extra",
     rows(9)(r => (wideNames.indices.map(c => (r + c).toString) :+ s"x$r")))
 
+  /** Two tables sharing 16 full rows (one with a blank cell on one side and
+    * a null on the other), so every content feature is non-zero.
+    */
+  private def order(i: Int): Seq[String] = Seq(s"o$i", s"region ${i % 4}", (12 * i + 5).toString)
+  private val rowsA = LakeTable("rows_a.csv", "orders by region", Seq("order", "region", "amount"),
+    rows(30)(order) :+ Seq("o99", "", "17"))
+  private val rowsB = LakeTable("rows_b.csv", "regional orders", Seq("Order", "Region", "Amount"),
+    rows(24)(i => order(i + 15)) :+ Seq("o99", null, "17"))
+
   private val pairs: Seq[(String, LakeTable, LakeTable)] = Seq(
     ("shared", sharedA, sharedB),
     ("case-colliding", caseA, caseB),
     ("wide", wideA, wideB),
+    ("row-sharing", rowsA, rowsB),
   )
 
   private lazy val corpus: Map[String, LakeTable] =
@@ -81,7 +91,8 @@ class PairFeatureBitsSpec extends SparkSpec {
   // (featurizer, pair) -> (width, digest), taken before the header block
   // and the shared-name slots were merged into one helper. The masked
   // TabSketchFM vectors were taken while the featurizer itself left the
-  // disabled groups' features uncomputed and zero.
+  // disabled groups' features uncomputed and zero. The row-sharing pair's
+  // digests were taken with each mask zeroing columns of the full vector.
   private val expected: Map[(String, String), (Int, String)] = Map(
     ("TabSketchFM", "shared") -> (129, "8170ce3659cad71a"),
     ("TabSketchFM", "case-colliding") -> (129, "d21f4567863073a7"),
@@ -119,6 +130,18 @@ class PairFeatureBitsSpec extends SparkSpec {
     ("TABBIE", "shared") -> (32, "4fb5d00d5f700d6f"),
     ("TABBIE", "case-colliding") -> (32, "3d237a4ba1ec2d9a"),
     ("TABBIE", "wide") -> (32, "7b28af4eaa40a091"),
+    ("TabSketchFM", "row-sharing") -> (129, "772710bf4f9d69bd"),
+    ("TabSketchFM MinHash only", "row-sharing") -> (129, "fe610b208888c690"),
+    ("TabSketchFM numerical only", "row-sharing") -> (129, "facd29c6c38d2955"),
+    ("TabSketchFM content only", "row-sharing") -> (129, "1d1024f22b02045b"),
+    ("TabSketchFM w/o MinHash", "row-sharing") -> (129, "f592f96fc33a15b6"),
+    ("TabSketchFM w/o numerical", "row-sharing") -> (129, "e0bc0130ef8a1b81"),
+    ("TabSketchFM w/o content", "row-sharing") -> (129, "563e3281df54f950"),
+    ("Vanilla BERT", "row-sharing") -> (38, "cff564d45afeb730"),
+    ("TUTA", "row-sharing") -> (79, "2e3f40f526f407a6"),
+    ("TaBERT", "row-sharing") -> (76, "9ec8109cfa3b71ce"),
+    ("TAPAS", "row-sharing") -> (32, "3f1ee9a0ea9502d0"),
+    ("TABBIE", "row-sharing") -> (32, "6ddca6d1c596741a"),
   )
 
   for ((fzName, f) <- featurizers; (pairName, a, b) <- pairs) {

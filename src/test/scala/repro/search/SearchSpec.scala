@@ -2,8 +2,7 @@ package repro.search
 
 import java.lang.ref.WeakReference
 
-import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
-import org.apache.spark.sql.functions.{col, lit}
+import scala.util.Random
 
 import repro.SparkSpec
 import repro.core.{Similarity, TableSketcher}
@@ -20,10 +19,6 @@ class SearchSpec extends SparkSpec {
 
   private lazy val queries: Seq[(String, Int)] =
     lake.tables.take(8).map(t => (t.table.id, 0))
-
-  private var dirsBefore = Set.empty[String]
-
-  override def beforeAll(): Unit = { super.beforeAll(); dirsBefore = tempDirs("emb") }
 
   test("column embeddings have a fixed dimension and unit norm") {
     val t = tables.values.head
@@ -76,18 +71,15 @@ class SearchSpec extends SparkSpec {
     }
   }
 
-  test("embedding search equals a brute-force scan across partitions, ties and edge queries") {
+  test("embedding search equals a brute-force scan, ties and edge queries included") {
     val base = JoinSearch.embeddingsDf(spark, sketches, tables)
     val twin = lake.tables(9).table.id
     // An exact copy of one table under a new id: every query ties on the pair.
-    val emb = base.union(base.where(col("tableId") === twin).withColumn("tableId", lit(s"$twin-copy")))
-      .repartition(7).cache()
-    import spark.implicits._
-    val cols = emb.as[JoinSearch.ColumnEmb].collect().toSeq
+    val cols = new Random(7).shuffle(base ++ base.filter(_.tableId == twin).map(_.copy(tableId = s"$twin-copy")))
     val lakeSize = cols.map(_.tableId).distinct.size
     val qs = queries.take(4) ++ Seq(("no-such-table", 0), (queries.head._1, 1))
     val all = Seq(1, 5, lakeSize + 3).map { k =>
-      val got = JoinSearch.searchEmbeddings(spark, emb, qs, k)
+      val got = JoinSearch.searchEmbeddings(spark, cols, qs, k)
       assert(got == bruteForce(cols, qs, k), s"k=$k")
       assert(!got.contains("no-such-table"))
       got
@@ -95,7 +87,6 @@ class SearchSpec extends SparkSpec {
     assert(all(queries.head._1).size == lakeSize - 1)
     val ranked = all(queries(1)._1)
     assert(ranked.indexOf(s"$twin-copy") == ranked.indexOf(twin) + 1, "tie broken by table id")
-    emb.unpersist()
   }
 
   test("embedding search beats value-overlap baselines on sensible-join GT") {
@@ -173,7 +164,7 @@ class SearchSpec extends SparkSpec {
 
   test("building the join index and answering a join query start no Spark job") {
     withTempDir("emb-jobs") { dir =>
-      var emb: org.apache.spark.sql.DataFrame = null
+      var emb = Seq.empty[JoinSearch.ColumnEmb]
       assert(sparkJobsDuring { emb = JoinSearch.embeddingsDf(spark, sketches, tables, dir) } == 0)
       assert(sparkJobsDuring(JoinSearch.searchEmbeddings(spark, emb, queries.take(1), 5)) == 0)
       assert(new java.io.File(dir).list().isEmpty, "the index wrote to its path")
@@ -187,24 +178,22 @@ class SearchSpec extends SparkSpec {
   }
 
   /** Builds an index, answers two queries from it, and returns a weak
-    * reference to its rows; in a method of its own, so no stack slot of
-    * the caller keeps the index alive.
+    * reference to it; in a method of its own, so no stack slot of the
+    * caller keeps the index alive.
     */
   private def searchOnce(): WeakReference[AnyRef] = {
     val emb = JoinSearch.embeddingsDf(spark, sketches, tables)
     JoinSearch.searchEmbeddings(spark, emb, queries.take(2), 5)
-    val rows = emb.queryExecution.logical.collectFirst { case r: LocalRelation => r.data }
-    assert(rows.exists(_.size == tables.values.map(_.numCols).sum), "the index is one local relation")
-    new WeakReference(rows.get)
+    assert(emb.size == tables.values.map(_.numCols).sum, "one index row per lake column")
+    new WeakReference(emb)
   }
 
   test("a join index its callers have dropped becomes unreachable") {
-    // No Spark job runs between the search and the check: each listener-bus
-    // thread keeps the last event it dispatched until the next one arrives,
-    // so this holds only while no event of the search refers to the index.
+    // Fails while anything the search leaves behind, such as a memo cache,
+    // still refers to the index.
     val ref = searchOnce()
     val cleared = (1 to 50).exists { _ => System.gc(); Thread.sleep(100); ref.get == null }
-    assert(cleared, "the index's rows are still reachable after the search returned")
+    assert(cleared, "the index is still reachable after the search returned")
   }
 
   test("relevant equals a lake-wide scan with an id map built per call") {
@@ -218,11 +207,5 @@ class SearchSpec extends SparkSpec {
     val got = lake.tables.map(t => JoinSearch.relevant(lake, t.table.id))
     assert(got == lake.tables.map(t => old(t.table.id)))
     assert(got.exists(_.nonEmpty) && got.exists(r => r.nonEmpty && r.size < lake.tables.size - 1))
-  }
-
-  // Registered last, so it runs after every test above has built its index.
-  test("no search test leaves an emb* index directory behind") {
-    val left = tempDirs("emb") -- dirsBefore
-    assert(left.isEmpty, s"index directories left behind: ${left.mkString(", ")}")
   }
 }
