@@ -43,15 +43,34 @@ object NumericalSketch {
 
   val empty: Array[Double] = Array.fill(Size)(Double.NaN)
 
-  /** Stats + percentile sketch over parsed numeric values. */
+  /** Stats + percentile sketch over parsed numeric values.
+    *
+    * Finite values can still overflow the sum or the sum of squared
+    * deviations (three values near 1e308); an overflowing sum makes the
+    * second one infinite too. When that is not finite and every value is,
+    * the overflowing sums are taken again over the values divided by
+    * `max |v|` and scaled back, so the mean and std stay finite (Higham,
+    * *Accuracy and Stability of Numerical Algorithms*, ch. 4). Otherwise
+    * the plain sums are kept, with their bits.
+    */
   def of(values: Seq[Double]): Array[Double] = {
     if (values.isEmpty) return empty
     val n      = values.length
     val sorted = values.sorted
-    val mean   = values.sum / n
-    val varr   = values.map(v => (v - mean) * (v - mean)).sum / n
+    val sum    = values.sum
+    var mean   = sum / n
+    val sq     = values.map(v => (v - mean) * (v - mean)).sum
+    var std    = math.sqrt(sq / n)
+    if (!sq.isFinite) {
+      val scale = values.foldLeft(0.0)((m, v) => math.max(m, math.abs(v)))
+      if (scale.isFinite) {
+        if (!sum.isFinite) mean = values.map(_ / scale).sum / n * scale
+        val m = mean / scale
+        std = math.sqrt(values.map { v => val d = v / scale - m; d * d }.sum / n) * scale
+      }
+    }
     def pct(p: Double): Double = sorted(math.min(n - 1, math.max(0, (p * (n - 1)).round.toInt)))
-    Array(mean, math.sqrt(varr), sorted.head, sorted.last,
+    Array(mean, std, sorted.head, sorted.last,
           pct(0.10), pct(0.25), pct(0.50), pct(0.75), pct(0.90))
   }
 }

@@ -1,25 +1,37 @@
 package repro.core
 
-import java.util.regex.Pattern
-
 /** Lowercasing word tokenizer — the repo's stand-in for the BERT-uncased
-  * tokenizer. Lowercases (default locale), then splits on every run of
-  * characters other than ASCII letters and digits, so "Reference Area" ->
-  * ["reference", "area"] and "AT130" -> ["at130"].
+  * tokenizer. Lowercases (default locale), then emits every maximal run of
+  * ASCII letters and digits, so "Reference Area" -> ["reference", "area"]
+  * and "AT130" -> ["at130"].
   *
-  * ``\p{Alnum}`` is ASCII-only in Java regexes, so non-ASCII letters split
-  * words: "Café Crème" -> ["caf", "cr", "me"]. Lowercasing runs first, so a
+  * Only ASCII letters and digits make words, so non-ASCII letters split
+  * them: "Café Crème" -> ["caf", "cr", "me"]. Lowercasing runs first, so a
   * character that lowercases to ASCII joins a word: the Kelvin sign U+212A
-  * becomes "k".
+  * becomes "k". One scan over the lowercased string gives the same tokens
+  * as splitting it on runs of other characters and dropping empty pieces.
   */
 object Tokenizer {
 
-  private val Separators = Pattern.compile("[^\\p{Alnum}]+")
+  private def isWordChar(c: Char): Boolean =
+    (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z')
 
   /** Tokenize one string; null-safe (null -> no tokens). */
   def tokenize(s: String): Seq[String] =
-    if (s == null) Seq.empty
-    else Separators.split(s.toLowerCase, 0).iterator.filter(_.nonEmpty).toSeq
+    if (s == null) Nil
+    else {
+      val lower = s.toLowerCase
+      val n = lower.length
+      val out = List.newBuilder[String]
+      var i = 0
+      while (i < n) {
+        while (i < n && !isWordChar(lower.charAt(i))) i += 1
+        val start = i
+        while (i < n && isWordChar(lower.charAt(i))) i += 1
+        if (i > start) out += lower.substring(start, i)
+      }
+      out.result()
+    }
 
   /** Bag (multiset) of tokens with counts; the unit of "mean-pooled"
     * value summaries used by the value-based baseline analogues.

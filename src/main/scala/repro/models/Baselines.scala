@@ -95,7 +95,7 @@ case class FrozenFeaturizer(name: String, budget: ValueFeaturizer.Budget, seed: 
       val b = budget
       Parallel.map(tables.values.toSeq) { t =>
         val v = ValueFeaturizer.view(t, b)
-        val toks = v.tableBag.iterator.flatMap { case (tok, c) => Iterator.fill(math.min(c, 8))(tok) }.toSeq
+        val toks = v.tableBag.iterator.flatMap { case (tok, c) => Iterator.fill(math.min(c, 8))(tok) }
         t.id -> rp.embed(toks ++ v.header.allTokens)
       }.toMap
     }

@@ -32,10 +32,13 @@ final class RandomProjection(val dim: Int, val buckets: Int, seed: Long) extends
   private def bucket(token: String): Int =
     math.floorMod(MurmurHash3.stringHash(token, 0x51ab2e17), buckets)
 
-  /** Embed a token multiset; all-zero input embeds to the zero vector. */
-  def embed(tokens: Iterable[String]): Array[Double] = {
+  /** Embed a token multiset, read once; all-zero input embeds to the zero
+    * vector.
+    */
+  def embed(tokens: IterableOnce[String]): Array[Double] = {
     val counts = new Array[Double](buckets)
-    tokens.foreach(t => counts(bucket(t)) += 1.0)
+    val it = tokens.iterator
+    while (it.hasNext) counts(bucket(it.next())) += 1.0
     project(counts)
   }
 
@@ -49,6 +52,7 @@ final class RandomProjection(val dim: Int, val buckets: Int, seed: Long) extends
   /** ``out(d) = Σ_b proj(d, b) · counts(b)`` summed in ascending ``b``,
     * over the nonzero buckets only. A skipped term is ±0.0, and a sum that
     * starts at +0.0 is never −0.0, so skipping leaves every bit unchanged.
+    * The norm sums the squares from 0.0 in index order.
     */
   private def project(counts: Array[Double]): Array[Double] = {
     val out = new Array[Double](dim)
@@ -62,8 +66,11 @@ final class RandomProjection(val dim: Int, val buckets: Int, seed: Long) extends
       }
       b += 1
     }
-    val norm = math.sqrt(out.map(v => v * v).sum)
-    if (norm > 0) { var i = 0; while (i < dim) { out(i) /= norm; i += 1 } }
+    var sq = 0.0
+    var i = 0
+    while (i < dim) { sq += out(i) * out(i); i += 1 }
+    val norm = math.sqrt(sq)
+    if (norm > 0) { i = 0; while (i < dim) { out(i) /= norm; i += 1 } }
     out
   }
 }

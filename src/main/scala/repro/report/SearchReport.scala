@@ -1,5 +1,6 @@
 package repro.report
 
+import org.apache.logging.log4j.LogManager
 import org.apache.spark.sql.SparkSession
 
 import repro.core.TableSketcher
@@ -14,7 +15,16 @@ import repro.search.{JoinSearch, UnionSearch}
   */
 object SearchReport {
 
+  private val log = LogManager.getLogger(getClass)
+
   val Ks: Seq[Int] = Seq(1, 2, 3, 5, 8, 10)
+
+  /** `body`'s result and its wall time in milliseconds. */
+  private def timed[A](body: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a = body
+    (a, (System.nanoTime() - t0) / 1e6)
+  }
 
   /** F1@k per method at every k in `Ks`, averaged over the queries, and
     * the printed lines: a header row, then one row per method.
@@ -43,9 +53,12 @@ object SearchReport {
     val queries = rng.shuffle(lake.tables.filter(t => JoinSearch.relevant(lake, t.table.id).nonEmpty))
       .take(nQueries).map(t => (t.table.id, 0))
 
-    val emb = JoinSearch.embeddingsDf(spark, sketches, tables)
+    val (emb, buildMs) = timed(JoinSearch.embeddingsDf(spark, sketches, tables))
+    val (ours, queryMs) = timed(JoinSearch.searchEmbeddings(spark, emb, queries, Ks.max))
+    log.info(f"join search: TabSketchFM index of ${emb.size} columns built in $buildMs%.1f ms; " +
+             f"${queries.size} queries in $queryMs%.1f ms, ${queryMs / queries.size}%.2f ms per query")
     val methods: Seq[(String, Map[String, Seq[String]])] = Seq(
-      "TabSketchFM" -> JoinSearch.searchEmbeddings(spark, emb, queries, Ks.max),
+      "TabSketchFM" -> ours,
       "LSHForest"   -> JoinSearch.searchLsh(sketches, queries, Ks.max),
       "JOSIE"       -> JoinSearch.searchJosie(tables, queries, Ks.max),
       "EmbedJoin"   -> JoinSearch.searchEmbedJoin(tables, queries, Ks.max),
@@ -65,8 +78,13 @@ object SearchReport {
     val rng = new scala.util.Random(19)
     val queries = rng.shuffle(tables.keys.toSeq).take(nQueries)
 
+    // Union search has no index: the call embeds every lake table, then
+    // ranks the lake for each query.
+    val (ours, callMs) = timed(UnionSearch.searchEmbeddings(sketches, tables, queries, Ks.max))
+    log.info(f"union search: TabSketchFM embedded ${tables.size} tables and answered " +
+             f"${queries.size} queries in $callMs%.1f ms, ${callMs / queries.size}%.2f ms per query")
     val methods: Seq[(String, Map[String, Seq[String]])] = Seq(
-      "TabSketchFM" -> UnionSearch.searchEmbeddings(sketches, tables, queries, Ks.max),
+      "TabSketchFM" -> ours,
       "D3L"         -> UnionSearch.searchD3L(sketches, queries, Ks.max),
       "SANTOS"      -> UnionSearch.searchSantos(sketches, queries, Ks.max),
       "Starmie"     -> UnionSearch.searchStarmie(tables, queries, Ks.max),

@@ -99,7 +99,7 @@ object JoinSearch {
   def searchEmbedJoin(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
     val embs: Map[String, Seq[Array[Double]]] = Parallel.map(tables.toSeq) { case (id, t) =>
       id -> t.columnNames.indices.map { i =>
-        Embeddings.valueEmbedder.embed(t.values(i).take(100).flatMap(Tokenizer.tokenize))
+        Embeddings.valueEmbedder.embed(t.values(i).iterator.take(100).flatMap(Tokenizer.tokenize))
       }
     }.toMap
     queries.map { case (qt, qc) =>

@@ -70,8 +70,8 @@ object UnionSearch {
     val embs: Map[String, Seq[Array[Double]]] = Parallel.map(tables.toSeq) { case (id, t) =>
       id -> t.columnNames.indices.map { i =>
         Embeddings.valueEmbedder.embed(
-          Tokenizer.tokenize(t.columnNames(i)) ++
-          t.values(i).take(60).flatMap(Tokenizer.tokenize))
+          Tokenizer.tokenize(t.columnNames(i)).iterator ++
+          t.values(i).iterator.take(60).flatMap(Tokenizer.tokenize))
       }
     }.toMap
     def tableScore(a: Seq[Array[Double]], b: Seq[Array[Double]]): Double = {

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.PropCheck
 import repro.lake.LakeTable
 
 class TableSketcherSpec extends AnyFunSuite {
@@ -92,5 +94,48 @@ class TableSketcherSpec extends AnyFunSuite {
     assert(skDup.rowCount == 8)
     assert(skDup.distinctRowCount == 4)
     assert(skDup.contentMinHash.sameElements(sk.contentMinHash))
+  }
+
+  test("finite values whose sums overflow sketch a finite mean and std") {
+    val big = TableSketcher.sketchColumn("v", 0, Seq("1e308", "1e308", "1.7e308")).numeric
+    assert(big.forall(_.isFinite), big.mkString(", "))
+    assert(math.abs(big(0) / 1.2333333333333333e308 - 1) < 1e-12)
+    assert(math.abs(big(1) / (math.sqrt((2 * 0.2333333333333333 * 0.2333333333333333 +
+      0.4666666666666667 * 0.4666666666666667) / 3) * 1e308) - 1) < 1e-12)
+    val wide = TableSketcher.sketchColumn("v", 0, Seq("-1e308", "1e308", "5")).numeric
+    assert(wide.forall(_.isFinite), wide.mkString(", "))
+    assert(wide(0) == 5.0 / 3, "a finite sum keeps its mean")
+    assert(math.abs(wide(1) / (math.sqrt(2.0 / 3) * 1e308) - 1) < 1e-12)
+  }
+
+  /** `NumericalSketch.of` before overflowing sums were rescaled. */
+  private def plainOf(values: Seq[Double]): Array[Double] = {
+    val n      = values.length
+    val sorted = values.sorted
+    val mean   = values.sum / n
+    val varr   = values.map(v => (v - mean) * (v - mean)).sum / n
+    def pct(p: Double): Double = sorted(math.min(n - 1, math.max(0, (p * (n - 1)).round.toInt)))
+    Array(mean, math.sqrt(varr), sorted.head, sorted.last,
+          pct(0.10), pct(0.25), pct(0.50), pct(0.75), pct(0.90))
+  }
+
+  test("NumericalSketch.of keeps the plain sums' bits unless finite values overflow them") {
+    val value = Gen.frequency(
+      8 -> Gen.choose(-1e6, 1e6),
+      2 -> Gen.oneOf(0.0, -0.0, 1.0, -1.0, 4.9e-324, 1e300, -1e300),
+      1 -> Gen.choose(-Double.MaxValue, Double.MaxValue),
+      1 -> Gen.oneOf(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity),
+    )
+    def bits(xs: Array[Double]) = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    var rescaled = 0
+    PropCheck.check(Prop.forAllNoShrink(Gen.nonEmptyListOf(value)) { vs =>
+      val plain = plainOf(vs)
+      val got = NumericalSketch.of(vs)
+      if (vs.forall(_.isFinite) && !(plain(0).isFinite && plain(1).isFinite)) {
+        rescaled += 1
+        got.forall(_.isFinite) && bits(got).drop(2) == bits(plain).drop(2)
+      } else bits(got) == bits(plain)
+    }, minSuccessful = 500)
+    assert(rescaled > 10, s"only $rescaled columns overflowed")
   }
 }

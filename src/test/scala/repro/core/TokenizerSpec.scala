@@ -4,6 +4,7 @@ import org.scalacheck.Prop
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropCheck
+import repro.lakebench.{EcbUnion, TusSantos, WikiLake}
 
 class TokenizerSpec extends AnyFunSuite {
 
@@ -49,9 +50,41 @@ class TokenizerSpec extends AnyFunSuite {
     assert(Tokenizer.tokenize("\u212Aelvin") == Seq("kelvin"))
   }
 
+  /** The split that the scan replaces: lowercase, then split on runs of
+    * characters other than ASCII letters and digits.
+    */
+  private def oracle(s: String): Seq[String] =
+    if (s == null) Seq.empty else s.toLowerCase.split("[^\\p{Alnum}]+").filter(_.nonEmpty).toSeq
+
   test("tokenize equals lowercasing and String.split on non-alphanumerics") {
     PropCheck.check(Prop.forAllNoShrink(PropCheck.awkwardString) { s =>
-      Tokenizer.tokenize(s) == s.toLowerCase.split("[^\\p{Alnum}]+").filter(_.nonEmpty).toSeq
+      Tokenizer.tokenize(s) == oracle(s)
     })
+  }
+
+  test("tokenize equals the split on every cell and header of small generated lakes") {
+    val tables =
+      WikiLake.generate(seed = 3, nClasses = 3, entitiesPerClass = 40, schemasPerClass = 2, tablesPerSchema = 2)
+        .lakeTables.values ++
+      TusSantos.generate(seed = 5, perSeed = 2, nPairs = 10).tables.values ++
+      EcbUnion.generate(seed = 7, nDatasets = 4, nPairs = 10).tables.values
+    var checked = 0
+    for (t <- tables; s <- t.columnNames.iterator ++ t.rows.iterator.flatten) {
+      assert(Tokenizer.tokenize(s) == oracle(s), s"cell or header ${Option(s).map(_.take(80))}")
+      checked += 1
+    }
+    assert(checked > 1000, s"only $checked strings")
+  }
+
+  test("tokenize equals the split on a lowercase that grows, surrogates and a long string") {
+    // U+0130 lowercases to two chars (i and a combining dot) outside a
+    // Turkish locale, so the lowercased string is longer than the input.
+    val long = "Ab9-" * 2500
+    assert(long.length == 10000)
+    for (s <- Seq("İstanbul", "\uD835\uDC00x", long, "x" * 10000))
+      assert(Tokenizer.tokenize(s) == oracle(s), s.take(40))
+    assert(Tokenizer.tokenize("\uD835\uDC00x") == Seq("x"))
+    assert(Tokenizer.tokenize("x" * 10000) == Seq("x" * 10000))
+    assert(Tokenizer.tokenize(long) == Seq.fill(2500)("ab9"))
   }
 }

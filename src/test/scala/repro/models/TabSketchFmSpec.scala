@@ -93,4 +93,13 @@ class TabSketchFmSpec extends AnyFunSuite {
     assert(content(1) > 0.7, s"containment(part in whole) ${content(1)}")
     assert(content(2) < 0.5, s"containment(whole in part) ${content(2)}")
   }
+
+  test("columns of finite values whose sums overflow give finite features") {
+    val huge = mkTable("huge", Seq("v"), Seq("1e308", "1e308", "1.7e308").map(Seq(_)))
+    val wide = mkTable("wide", Seq("v"), Seq("-1e308", "1e308", "5").map(Seq(_)))
+    for ((a, b) <- Seq((huge, wide), (wide, huge), (huge, base), (base, wide))) {
+      val f = TabSketchFm.features(a, b)
+      assert(f.forall(_.isFinite), s"${a.tableId} vs ${b.tableId}: ${f.indices.filterNot(i => f(i).isFinite)}")
+    }
+  }
 }

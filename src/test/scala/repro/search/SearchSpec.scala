@@ -44,10 +44,10 @@ class SearchSpec extends SparkSpec {
 
   test("embedding NN join over the in-memory index returns ranked joinable tables") {
     val results = JoinSearch.searchEmbeddings(spark, JoinSearch.embeddingsDf(spark, sketches, tables), queries.take(3), k = 5)
-    assert(results.size == 3)
+    assert(results.keySet == queries.take(3).map(_._1).toSet)
     results.foreach { case (q, ranked) =>
-      assert(ranked.size <= 5)
-      assert(!ranked.contains(q), "query must not retrieve itself")
+      assert(ranked.headOption.exists(JoinSearch.relevant(lake, q)),
+        s"$q: first hit ${ranked.headOption} is not a sensibly joinable table")
     }
   }
 
