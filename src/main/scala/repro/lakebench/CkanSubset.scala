@@ -64,7 +64,7 @@ object CkanSubset {
           val v = math.max(0, math.min(hi, math.max(lo, raw)))
           if (isFloat(m)) f"${v + (rng.nextInt(2) * 5) / 10.0}%.1f" else v.toString
         }
-        Seq(codes(e), names(e)) ++ ms
+        Vector(codes(e), names(e)) ++ ms
       }).toVector
       // Trim to a multiple of 4 so positive/negative partners have
       // *identical* row counts (no row-count signal, as in the paper).

@@ -92,7 +92,7 @@ object TusSantos {
       // Materialize the seed table once, then sample row/column subsets.
       val seedRows = (0 until 600).map(i => cols.map(c => c.gen(rng, i)))
       (0 until perSeed).map { t =>
-        val keep = 0 +: rng.shuffle((1 until cols.size).toList).take(2 + rng.nextInt(cols.size - 2)).sorted
+        val keep = 0 +: rng.shuffle((1 until cols.size).toVector).take(2 + rng.nextInt(cols.size - 2)).sorted
         val rows = rng.shuffle(seedRows).take(30 + rng.nextInt(120)).map(r => keep.map(r(_)))
         (d, LakeTable(s"${domain}_$t.csv", s"open data about $domain", keep.map(cols(_).name), rows))
       }

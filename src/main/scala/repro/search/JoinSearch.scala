@@ -59,37 +59,52 @@ object JoinSearch {
   }
 
   /** JOSIE-lite: rank candidate tables by exact max value overlap of any
-    * column with the query column (overlap set similarity search). A table
-    * with no columns has nothing to join on and is never a candidate.
+    * column with the query column (overlap set similarity search): for each
+    * column, the number of its distinct values that are also query values.
+    * A table with no columns has nothing to join on and is never a
+    * candidate, and a table with no overlap is not returned, so a query can
+    * get fewer than k tables (TabSketchFM join and EmbedJoin rank every
+    * table with a column, zero scores included; no Wiki query reaches that
+    * case).
+    *
+    * Cost: one pass over the lake's cells per query, on the `Parallel`
+    * pool, with only the query column's value set built. There is no index
+    * to keep between calls; JOSIE's posting lists pay off only for a caller
+    * that keeps them across calls.
     */
   def searchJosie(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val colSets: Map[String, Seq[Set[String]]] =
-      tables.map { case (id, t) => id -> t.columnNames.indices.map(i => t.values(i).toSet) }
+    val lake = tables.toSeq
     queries.map { case (qt, qc) =>
-      val qSet = colSets(qt)(qc)
-      val overlaps = tables.keys.filter(c => c != qt && colSets(c).nonEmpty)
-        .map(cand => cand -> colSets(cand).map(s => s.intersect(qSet).size).max.toDouble)
+      val qSet = tables(qt).values(qc).toSet
+      // Missing cells are never in qSet, so they are never counted.
+      val overlaps = Parallel.map(lake.filter { case (id, t) => id != qt && t.numCols > 0 }) { case (id, t) =>
+        id -> (0 until t.numCols).map(i => t.rows.iterator.map(_(i)).filter(qSet).toSet.size).max.toDouble
+      }
       qt -> Ranking.top(overlaps.filter(_._2 > 0), k)
     }.toMap
   }
 
-  /** LSHForest-lite: candidates sharing a MinHash band of 4 slots, ranked
-    * by the estimated Jaccard of the best-matching column.
+  /** LSHForest-lite: candidates sharing a MinHash band of 4 slots with the
+    * query column, ranked by the estimated Jaccard of the table's
+    * best-matching candidate column. Like JOSIE-lite it returns only tables
+    * with a candidate column, so possibly fewer than k; a column with an
+    * empty signature has no band and is never a candidate, nor finds one.
+    *
+    * Cost: one pass over the lake columns' band keys per query, on the
+    * `Parallel` pool, against a set of the query's band keys; no band index
+    * of the whole lake is built or kept.
     */
   def searchLsh(sketches: Map[String, TableSketch], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
     val rowsPerBand = 4
-    val index: Map[Long, Seq[(String, Int)]] =
-      sketches.values.flatMap { s =>
-        s.columns.flatMap(c => MinHash.bandKeys(c.valueMinHash, rowsPerBand).map(b => b -> (s.tableId, c.position)))
-      }.toSeq.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
+    val lake = sketches.values.toSeq
     queries.map { case (qt, qc) =>
       val qSig = sketches(qt).columns(qc).valueMinHash
-      val cands = MinHash.bandKeys(qSig, rowsPerBand).flatMap(index.getOrElse(_, Seq.empty))
-        .filter(_._1 != qt).distinct
-      val best = cands.map { case (ct, cc) =>
-        (ct, MinHash.jaccard(qSig, sketches(ct).columns(cc).valueMinHash))
-      }.groupBy(_._1).view.mapValues(_.map(_._2).max)
-      qt -> Ranking.top(best.toSeq, k)
+      val qBands = MinHash.bandKeys(qSig, rowsPerBand).toSet
+      val best = Parallel.map(lake.filter(_.tableId != qt)) { s =>
+        s.columns.filter(c => MinHash.bandKeys(c.valueMinHash, rowsPerBand).exists(qBands))
+          .map(c => MinHash.jaccard(qSig, c.valueMinHash)).maxOption.map(s.tableId -> _)
+      }.flatten
+      qt -> Ranking.top(best, k)
     }.toMap
   }
 

@@ -2,6 +2,8 @@ package repro.lakebench
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.lake.LakeTable
+
 /** Shared invariants for every LakeBench generator. Generators are scaled
   * down here (small corpora) so the suite stays fast; the bench project
   * uses the default sizes.
@@ -229,6 +231,49 @@ class GeneratorsSpec extends AnyFunSuite {
       val got = (b.allPairs.size, pairsDigest(b.allPairs))
       assert(defaultPairs.get(b.name).contains(got), s"${b.name}: $got")
     }
+  }
+
+  // Benchmark name -> (table count, digest of every table's id,
+  // description, header and cells, null cells marked) at default
+  // parameters, taken while rows were stored as the generators built them.
+  private val defaultTables: Map[String, (Int, String)] = Map(
+    "TUS-SANTOS"       -> (432, "e1f41546ab7a6bab"),
+    "Wiki Union"       -> (882, "173aa9ebdb117af2"),
+    "ECB Union"        -> (650, "e2f87a6216e19548"),
+    "Wiki Jaccard"     -> (882, "173aa9ebdb117af2"),
+    "Wiki Containment" -> (882, "173aa9ebdb117af2"),
+    "Spider-OpenData"  -> (1440, "11428378de5e9de7"),
+    "ECB Join"         -> (64, "042e9b7d8fd3bb1f"),
+    "CKAN Subset"      -> (3000, "16376a684b9cb01b"),
+  )
+
+  private def tablesDigest(tables: Map[String, LakeTable]): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    def int(n: Int): Unit = md.update(java.nio.ByteBuffer.allocate(4).putInt(n).array())
+    def str(s: String): Unit =
+      if (s == null) int(-1) else { val b = s.getBytes("UTF-8"); int(b.length); md.update(b) }
+    tables.toSeq.sortBy(_._1).foreach { case (_, t) =>
+      str(t.id); str(t.description)
+      int(t.numCols); t.columnNames.foreach(str)
+      int(t.numRows); t.rows.foreach(_.foreach(str))
+    }
+    md.digest().take(8).map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  test("every default benchmark keeps its exact tables and cells") {
+    assert(LakeBenchSuite.all.map(_.name).toSet == defaultTables.keySet)
+    for (b <- LakeBenchSuite.all) {
+      val got = (b.tables.size, tablesDigest(b.tables))
+      assert(defaultTables.get(b.name).contains(got), s"${b.name}: $got")
+    }
+  }
+
+  test("every table has IndexedSeq rows, also one built from List rows") {
+    val fromLists = LakeTable("l.csv", "", List("a", "b"), List(List("x", null), List("", "y")))
+    assert(fromLists.rows.forall(_.isInstanceOf[IndexedSeq[_]]))
+    assert(fromLists.rows == List(List("x", null), List("", "y")) && fromLists.column(1) == Seq(null, "y"))
+    for (b <- LakeBenchSuite.all; t <- b.tables.values)
+      assert(t.rows.forall(_.isInstanceOf[IndexedSeq[_]]), s"${b.name}/${t.id}")
   }
 
   test("generators are deterministic in their seed") {

@@ -4,8 +4,10 @@ import java.lang.ref.WeakReference
 
 import scala.util.Random
 
-import repro.SparkSpec
-import repro.core.{Similarity, TableSketcher}
+import org.scalacheck.{Gen, Prop}
+
+import repro.{PropCheck, SparkSpec}
+import repro.core.{MinHash, Similarity, TableSketch, TableSketcher}
 import repro.lake.LakeTable
 import repro.lakebench.WikiLake
 import repro.nn.Metrics
@@ -109,12 +111,78 @@ class SearchSpec extends SparkSpec {
     val res = JoinSearch.searchJosie(tables, queries.take(4), k = 3)
     res.foreach { case (q, ranked) =>
       ranked.headOption.foreach { top =>
-        val qSet = tables(q).column(0).toSet
+        val qSet = tables(q).values(0).toSet
         val topOverlap = tables(top).columnNames.indices
-          .map(i => tables(top).column(i).toSet.intersect(qSet).size).max
+          .map(i => tables(top).values(i).toSet.intersect(qSet).size).max
         assert(topOverlap > 0, "top JOSIE hit must overlap")
       }
     }
+  }
+
+  /** Reference JOSIE-lite: the value set of every lake column, built per
+    * call, intersected with the query column's.
+    */
+  private def josieOracle(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
+    val colSets: Map[String, Seq[Set[String]]] =
+      tables.map { case (id, t) => id -> t.columnNames.indices.map(i => t.values(i).toSet) }
+    queries.map { case (qt, qc) =>
+      val qSet = colSets(qt)(qc)
+      val overlaps = tables.keys.filter(c => c != qt && colSets(c).nonEmpty)
+        .map(cand => cand -> colSets(cand).map(s => s.intersect(qSet).size).max.toDouble)
+      qt -> Ranking.top(overlaps.filter(_._2 > 0), k)
+    }.toMap
+  }
+
+  /** Reference LSHForest-lite: a band-key index of the whole lake, built
+    * per call by `groupBy`, looked up with the query's band keys.
+    */
+  private def lshOracle(sketches: Map[String, TableSketch], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
+    val rowsPerBand = 4
+    val index: Map[Long, Seq[(String, Int)]] =
+      sketches.values.flatMap { s =>
+        s.columns.flatMap(c => MinHash.bandKeys(c.valueMinHash, rowsPerBand).map(b => b -> (s.tableId, c.position)))
+      }.toSeq.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
+    queries.map { case (qt, qc) =>
+      val qSig = sketches(qt).columns(qc).valueMinHash
+      val cands = MinHash.bandKeys(qSig, rowsPerBand).flatMap(index.getOrElse(_, Seq.empty))
+        .filter(_._1 != qt).distinct
+      val best = cands.map { case (ct, cc) =>
+        (ct, MinHash.jaccard(qSig, sketches(ct).columns(cc).valueMinHash))
+      }.groupBy(_._1).view.mapValues(_.map(_._2).max)
+      qt -> Ranking.top(best.toSeq, k)
+    }.toMap
+  }
+
+  test("JOSIE-lite and LSHForest-lite return exactly their whole-lake oracles' lists") {
+    // Few distinct values, so columns overlap, repeat values and share bands.
+    val blank = Gen.oneOf("", "  ", null: String)
+    val cell  = Gen.frequency(6 -> Gen.oneOf("a", "b", "c", "d", "e", "f", "g"), 1 -> blank)
+    def table(id: String): Gen[LakeTable] = for {
+      nCols  <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 3))
+      kinds  <- Gen.listOfN(nCols, Gen.frequency(1 -> Gen.const(blank), 4 -> Gen.const(cell)))  // some columns all blank
+      nRows  <- Gen.choose(0, 6)
+      rows   <- Gen.listOfN(nRows, Gen.sequence[List[String], String](kinds))
+    } yield LakeTable(id, "", (0 until nCols).map(i => s"c$i"), rows)
+    val lakeGen = for {
+      n     <- Gen.choose(1, 6)
+      ts    <- Gen.sequence[List[LakeTable], LakeTable]((0 until n).map(i => table(s"t$i.csv")))
+      twins <- Gen.someOf(ts)  // exact copies under new ids: ties on every score
+    } yield (ts ++ twins.map(t => t.copy(id = s"${t.id}-twin"))).map(t => t.id -> t).toMap
+    val caseGen = for {
+      lake <- lakeGen
+      qs   <- Gen.someOf(lake.values.toSeq.flatMap(t => (0 until t.numCols).map(t.id -> _)))
+    } yield (lake, qs.toSeq)
+    var hits = 0
+    PropCheck.check(Prop.forAllNoShrink(caseGen) { case (lake, qs) =>
+      val sk = TableSketcher.sketchCorpus(lake)
+      (1 to lake.size + 2).forall { k =>
+        val josie = JoinSearch.searchJosie(lake, qs, k)
+        val lsh   = JoinSearch.searchLsh(sk, qs, k)
+        if (k == lake.size && josie.values.exists(_.size > 1) && lsh.values.exists(_.size > 1)) hits += 1
+        josie == josieOracle(lake, qs, k) && lsh == lshOracle(sk, qs, k)
+      }
+    }, minSuccessful = 200)
+    assert(hits > 20, s"only $hits lakes ranked more than one table on both methods")
   }
 
   test("tables that share only blank cells are not JOSIE-lite candidates") {
