@@ -1,5 +1,6 @@
 package repro.models
 
+import org.apache.logging.log4j.LogManager
 import org.apache.spark.sql.SparkSession
 
 import repro.core.Parallel
@@ -12,6 +13,8 @@ import repro.nn.{Metrics, Mlp}
   * weighted F1 for classification, R² for regression.
   */
 object Runner {
+
+  private val log = LogManager.getLogger(getClass)
 
   case class FeatureSets(
       xTrain: Array[Array[Double]], yTrain: Array[Array[Double]],
@@ -31,14 +34,21 @@ object Runner {
     FeatureSets(xtr, ytr, xva, yva, xte, yte)
   }
 
-  /** Train once with the given seed and return the task metric on test. */
+  /** Train once with the given seed and return the task metric on test.
+    * Logs the training diagnostics (epochs run, best validation loss) at
+    * DEBUG.
+    */
   def trainEval(task: TaskType, fs: FeatureSets, seed: Long): Double = {
     val mlpTask = task match {
       case BinaryTask          => Mlp.Binary
       case RegressionTask      => Mlp.Regression
       case MultiLabelTask(ls)  => Mlp.MultiLabel(ls.size)
     }
-    val preds = Mlp.train(mlpTask, fs.xTrain, fs.yTrain, fs.xValid, fs.yValid, seed).predictAll(fs.xTest)
+    val mlp = Mlp.train(mlpTask, fs.xTrain, fs.yTrain, fs.xValid, fs.yValid, seed)
+    if (log.isDebugEnabled)
+      log.debug(s"trained $mlpTask: ${mlp.nIn} inputs, ${fs.xTrain.length} train rows, seed $seed: " +
+                s"${mlp.epochs} epochs, best validation loss ${mlp.bestLoss}")
+    val preds = mlp.predictAll(fs.xTest)
     task match {
       case BinaryTask =>
         Metrics.weightedF1(fs.yTest.map(_(0).round.toInt).toSeq, preds.map(p => if (p(0) > 0.5) 1 else 0).toSeq)

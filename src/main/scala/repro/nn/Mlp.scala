@@ -2,6 +2,8 @@ package repro.nn
 
 import scala.util.Random
 
+import repro.core.Parallel
+
 /** Deterministic feed-forward network — the repro's substitute for the
   * finetuned BERT cross-encoder head (see DESIGN.md §1). One hidden ReLU
   * layer, Adam optimizer, three loss modes:
@@ -30,8 +32,13 @@ object Mlp {
   // finetunes with patience 5 (§6), but one epoch here is only 20–50 Adam
   // steps and the 10% validation split is noisy, so every experiment waits 20.
   private val Hidden: Int    = 32
-  private val MaxEpochs: Int = 300
-  private val Patience: Int  = 20
+  private[nn] val MaxEpochs: Int = 300
+  private[nn] val Patience: Int  = 20
+  // Multiply-adds (rows × inputs × hidden units) from which a training or
+  // prediction phase is split over a `Parallel` gang; below it the phase
+  // runs on the calling thread alone, because handing out its chunks
+  // would cost more than they save.
+  private val Crossover: Long = 8192L
 
   /** Train on (features, labels) from the weights and shuffles that `seed`
     * draws; labels row length is 1 except MultiLabel.
@@ -72,6 +79,17 @@ final class Mlp private (val task: Mlp.Task, val nIn: Int, seed: Long) {
   private val mB2 = new Array[Double](nOut); private val vB2 = new Array[Double](nOut)
   private var adamT = 0
 
+  private var ranEpochs = 0
+  private var lowestLoss = Double.NaN
+
+  /** Epochs that training ran. */
+  def epochs: Int = ranEpochs
+
+  /** The validation loss of the epoch whose weights training kept (NaN if
+    * none was finite).
+    */
+  def bestLoss: Double = lowestLoss
+
   private def standardize(x: Array[Double]): Array[Double] = {
     val out = new Array[Double](nIn)
     var i = 0
@@ -96,13 +114,12 @@ final class Mlp private (val task: Mlp.Task, val nIn: Int, seed: Long) {
     }
   }
 
-  /** Forward pass on a standardized input; returns (hidden, output).
-    * Hidden units are computed 4 per sweep over ``z`` (``nHid`` is a
-    * multiple of 4); each still sums ``b1(j) + Σ_i w1(j)(i) · z(i)`` in
-    * ascending ``i``.
+  /** Forward pass on a standardized input into `h` (hidden) and `o`
+    * (output). Hidden units are computed 4 per sweep over ``z`` (``nHid``
+    * is a multiple of 4); each still sums ``b1(j) + Σ_i w1(j)(i) · z(i)``
+    * in ascending ``i``.
     */
-  private def forward(z: Array[Double]): (Array[Double], Array[Double]) = {
-    val h = new Array[Double](nHid)
+  private def forward(z: Array[Double], h: Array[Double], o: Array[Double]): Unit = {
     var j = 0
     while (j < nHid) {
       val r0 = w1(j); val r1 = w1(j + 1); val r2 = w1(j + 2); val r3 = w1(j + 3)
@@ -116,7 +133,6 @@ final class Mlp private (val task: Mlp.Task, val nIn: Int, seed: Long) {
       h(j) = relu(s0); h(j + 1) = relu(s1); h(j + 2) = relu(s2); h(j + 3) = relu(s3)
       j += 4
     }
-    val o = new Array[Double](nOut)
     var k = 0
     while (k < nOut) {
       var s = b2(k)
@@ -129,36 +145,61 @@ final class Mlp private (val task: Mlp.Task, val nIn: Int, seed: Long) {
       }
       k += 1
     }
-    (h, o)
   }
 
   private def relu(s: Double): Double = if (s > 0) s else 0.0
 
   /** Raw model outputs (probabilities for classification, value for regression). */
-  def predict(x: Array[Double]): Array[Double] = forward(standardize(x))._2
+  def predict(x: Array[Double]): Array[Double] = {
+    val o = new Array[Double](nOut)
+    forward(standardize(x), new Array[Double](nHid), o)
+    o
+  }
 
-  def predictAll(xs: Array[Array[Double]]): Array[Array[Double]] = xs.map(predict)
+  /** `xs.map(predict)`, split by rows over a gang when the set is wide
+    * enough; each row's outputs are those of `predict`.
+    */
+  def predictAll(xs: Array[Array[Double]]): Array[Array[Double]] = {
+    val out = new Array[Array[Double]](xs.length)
+    Parallel.gang(g => split(g, xs.length, xs.length)(i => out(i) = predict(xs(i))))
+    out
+  }
 
-  /** Mean loss over a standardized set (BCE or MSE per task). */
-  private def loss(zs: Array[Array[Double]], ys: Array[Array[Double]]): Double = {
-    var total = 0.0
-    var n = 0
-    zs.indices.foreach { i =>
-      val p = forward(zs(i))._2
-      val y = ys(i)
+  /** Runs `f` on every index below `n`: on the gang when the phase's work,
+    * `rows` × inputs × hidden units multiply-adds, reaches `Crossover`,
+    * else on this thread alone in ascending order.
+    */
+  private def split(g: Parallel.Gang, n: Int, rows: Int)(f: Int => Unit): Unit =
+    if (rows.toLong * nIn * nHid >= Crossover) g.foreach(n)(f)
+    else {
+      var i = 0
+      while (i < n) { f(i); i += 1 }
+    }
+
+  /** Mean loss over a standardized set (BCE or MSE per task). The rows'
+    * terms are computed split by rows, then summed in (row, output) order.
+    */
+  private def loss(g: Parallel.Gang, zs: Array[Array[Double]], ys: Array[Array[Double]]): Double = {
+    val terms = new Array[Double](zs.length * nOut)
+    split(g, zs.length, zs.length) { r =>
+      val p = new Array[Double](nOut)
+      forward(zs(r), new Array[Double](nHid), p)
+      val y = ys(r)
       var k = 0
       while (k < nOut) {
-        task match {
-          case Regression => total += (p(k) - y(k)) * (p(k) - y(k))
+        terms(r * nOut + k) = task match {
+          case Regression => (p(k) - y(k)) * (p(k) - y(k))
           case _ =>
             val pc = math.min(1 - 1e-9, math.max(1e-9, p(k)))
-            total += -(y(k) * math.log(pc) + (1 - y(k)) * math.log(1 - pc))
+            -(y(k) * math.log(pc) + (1 - y(k)) * math.log(1 - pc))
         }
-        n += 1
         k += 1
       }
     }
-    total / math.max(1, n)
+    var total = 0.0
+    var t = 0
+    while (t < terms.length) { total += terms(t); t += 1 }
+    total / math.max(1, terms.length)
   }
 
   /** One Adam step on `p` from `g`, the gradient summed over a batch of
@@ -186,27 +227,29 @@ final class Mlp private (val task: Mlp.Task, val nIn: Int, seed: Long) {
     val (zStop, yStop) = if (xValid.nonEmpty) (xValid.map(standardize), yValid) else (z, yTrain)
     val n = z.length
     val order = Array.tabulate(n)(identity)
+    val buf = new Buffers(math.min(n, BatchSize))
     var bestValid = Double.MaxValue
     var sincBest = 0
     var best: Option[Snapshot] = None
 
-    var epoch = 0
-    while (epoch < MaxEpochs && sincBest <= Patience) {
-      // Fisher-Yates with the model's rng: deterministic given the seed.
-      var i = n - 1
-      while (i > 0) { val j = rng.nextInt(i + 1); val t = order(i); order(i) = order(j); order(j) = t; i -= 1 }
+    Parallel.gang { g =>
+      while (ranEpochs < MaxEpochs && sincBest <= Patience) {
+        // Fisher-Yates with the model's rng: deterministic given the seed.
+        var i = n - 1
+        while (i > 0) { val j = rng.nextInt(i + 1); val t = order(i); order(i) = order(j); order(j) = t; i -= 1 }
 
-      var start = 0
-      while (start < n) {
-        val end = math.min(n, start + BatchSize)
-        trainBatch(z, yTrain, order, start, end)
-        start = end
+        var start = 0
+        while (start < n) {
+          val end = math.min(n, start + BatchSize)
+          trainBatch(g, buf, z, yTrain, order, start, end)
+          start = end
+        }
+
+        val vl = loss(g, zStop, yStop)
+        if (vl < bestValid - 1e-6) { bestValid = vl; lowestLoss = vl; sincBest = 0; best = Some(snapshot()) }
+        else sincBest += 1
+        ranEpochs += 1
       }
-
-      val vl = loss(zStop, yStop)
-      if (vl < bestValid - 1e-6) { bestValid = vl; sincBest = 0; best = Some(snapshot()) }
-      else sincBest += 1
-      epoch += 1
     }
     best.foreach(restore)
   }
@@ -222,62 +265,80 @@ final class Mlp private (val task: Mlp.Task, val nIn: Int, seed: Long) {
     Array.copy(s.b2, 0, b2, 0, nOut)
   }
 
-  private def trainBatch(z: Array[Array[Double]], y: Array[Array[Double]],
-                         order: Array[Int], start: Int, end: Int): Unit = {
-    val gW1 = Array.fill(nHid)(new Array[Double](nIn))
+  /** One fit's mini-batch buffers, reused by every batch: each row's
+    * hidden activations `h` and output error `d` (o − t), and the hidden
+    * layer's gradients.
+    */
+  private final class Buffers(rows: Int) {
+    val h: Array[Array[Double]] = Array.ofDim[Double](rows, nHid)
+    val d: Array[Array[Double]] = Array.ofDim[Double](rows, nOut)
+    val gW1: Array[Array[Double]] = Array.ofDim[Double](nHid, nIn)
     val gB1 = new Array[Double](nHid)
-    val gW2 = Array.fill(nOut)(new Array[Double](nHid))
-    val gB2 = new Array[Double](nOut)
-    val bs = end - start
+  }
 
-    var idx = start
-    while (idx < end) {
-      val x = z(order(idx))
-      val t = y(order(idx))
-      val (h, o) = forward(x)
+  /** One Adam step on the batch `order(start until end)`, in two phases.
+    * Phase 1, split by rows: each row's forward pass and output error.
+    * Phase 2, split by hidden unit `j`: `dH(j)` for each row, `gW1(j)`
+    * and `gB1(j)` summed over the rows in ascending order, then Adam on
+    * `w1(j)`. The output layer's gradients and the rest of Adam stay on
+    * this thread. Every sum adds the same terms in the same order whatever
+    * thread runs it, so the chunking changes no bit.
+    */
+  private def trainBatch(g: Parallel.Gang, buf: Buffers, z: Array[Array[Double]], y: Array[Array[Double]],
+                         order: Array[Int], start: Int, end: Int): Unit = {
+    val bs = end - start
+    split(g, bs, bs) { r =>
+      val row = order(start + r)
+      val d = buf.d(r)
+      forward(z(row), buf.h(r), d)
       // dL/do: for sigmoid+BCE and linear+MSE alike this is (o - t) (MSE
       // scaled by 2 absorbed into lr).
-      val dOut = new Array[Double](nOut)
+      val t = y(row)
       var k = 0
-      while (k < nOut) { dOut(k) = o(k) - t(k); k += 1 }
+      while (k < nOut) { d(k) = d(k) - t(k); k += 1 }
+    }
 
-      k = 0
+    val gW2 = Array.ofDim[Double](nOut, nHid)
+    val gB2 = new Array[Double](nOut)
+    var r = 0
+    while (r < bs) {
+      val h = buf.h(r); val d = buf.d(r)
+      var k = 0
       while (k < nOut) {
-        val gw = gW2(k); val d = dOut(k)
+        val gw = gW2(k); val dk = d(k)
         var j = 0
-        while (j < nHid) { gw(j) += d * h(j); j += 1 }
-        gB2(k) += d
+        while (j < nHid) { gw(j) += dk * h(j); j += 1 }
+        gB2(k) += dk
         k += 1
       }
-      val dH = new Array[Double](nHid)
-      var j = 0
-      while (j < nHid) {
-        if (h(j) > 0) {
-          var s = 0.0
-          k = 0
-          while (k < nOut) { s += dOut(k) * w2(k)(j); k += 1 }
-          dH(j) = s
-        }
-        j += 1
-      }
-      j = 0
-      while (j < nHid) {
-        val d = dH(j)
-        if (d != 0.0) {
-          val gw = gW1(j)
-          var i2 = 0
-          while (i2 < nIn) { gw(i2) += d * x(i2); i2 += 1 }
-          gB1(j) += d
-        }
-        j += 1
-      }
-      idx += 1
+      r += 1
     }
 
     adamT += 1
-    var j = 0
-    while (j < nHid) { adam(w1(j), gW1(j), mW1(j), vW1(j), bs, decay = true); j += 1 }
-    adam(b1, gB1, mB1, vB1, bs, decay = false)
+    split(g, nHid, bs) { j =>
+      val gw = buf.gW1(j)
+      java.util.Arrays.fill(gw, 0.0)
+      var gb = 0.0
+      var r = 0
+      while (r < bs) {
+        if (buf.h(r)(j) > 0) {
+          val d = buf.d(r)
+          var s = 0.0
+          var k = 0
+          while (k < nOut) { s += d(k) * w2(k)(j); k += 1 }
+          if (s != 0.0) {
+            val x = z(order(start + r))
+            var i = 0
+            while (i < nIn) { gw(i) += s * x(i); i += 1 }
+            gb += s
+          }
+        }
+        r += 1
+      }
+      buf.gB1(j) = gb
+      adam(w1(j), gw, mW1(j), vW1(j), bs, decay = true)
+    }
+    adam(b1, buf.gB1, mB1, vB1, bs, decay = false)
     var k = 0
     while (k < nOut) { adam(w2(k), gW2(k), mW2(k), vW2(k), bs, decay = true); k += 1 }
     adam(b2, gB2, mB2, vB2, bs, decay = false)

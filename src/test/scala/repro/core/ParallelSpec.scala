@@ -1,14 +1,27 @@
 package repro.core
 
-import java.util.concurrent.{ConcurrentHashMap, TimeoutException}
-import java.util.concurrent.atomic.AtomicBoolean
+import java.util.concurrent.{ConcurrentHashMap, CyclicBarrier, TimeUnit, TimeoutException}
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicIntegerArray}
 
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
+import scala.jdk.CollectionConverters._
 
 import org.scalatest.funsuite.AnyFunSuite
 
+object ParallelSpec {
+  /** Fails unless every pool thread takes a task at the same time, as it
+    * can only when no gang's helper holds one.
+    */
+  def assertPoolFree(): Unit = {
+    val all = new CyclicBarrier(Parallel.poolThreads)
+    val free = Future(Parallel.map(1 to Parallel.poolThreads)(_ => all.await(30, TimeUnit.SECONDS)))(ExecutionContext.global)
+    Await.result(free, 60.seconds)
+  }
+}
+
 class ParallelSpec extends AnyFunSuite {
+  import ParallelSpec.assertPoolFree
 
   test("map keeps input order and runs on daemon threads") {
     val ran = Parallel.map(1 to 16)(i => (i * 2, Thread.currentThread()))
@@ -57,5 +70,54 @@ class ParallelSpec extends AnyFunSuite {
       }
     assert(got.map(_._1) == (1 to n).map(i => i * n * (n + 1) / 2))
     assert(got.forall(_._2), "a call from a pool thread runs on that thread")
+  }
+
+  test("a gang runs every index of every phase exactly once, over thousands of tiny phases") {
+    val threads = ConcurrentHashMap.newKeySet[String]()
+    val phases = Parallel.gang { g =>
+      (0 until 5000).map { p =>
+        val runs = new AtomicIntegerArray(1 + p % 37)
+        g.foreach(runs.length) { i => runs.incrementAndGet(i); threads.add(Thread.currentThread().getName) }
+        assert((0 until runs.length).forall(runs.get(_) == 1), s"phase $p")
+        runs
+      }
+    }
+    // A helper that ran a chunk of a phase after it ended would show here.
+    assert(phases.forall(runs => (0 until runs.length).forall(runs.get(_) == 1)))
+    val me = Thread.currentThread().getName
+    assert(threads.asScala.forall(t => t == me || t.startsWith("repro-parallel-")))
+  }
+
+  test("an exception thrown in a gang's phase surfaces with its own type, and the pool stays usable") {
+    val e = intercept[IllegalStateException] {
+      Parallel.gang { g =>
+        val first = intercept[ArithmeticException](g.foreach(100)(i => if (i == 57) throw new ArithmeticException(s"bad $i")))
+        assert(first.getMessage == "bad 57")
+        val runs = new AtomicIntegerArray(100)
+        g.foreach(100)(runs.incrementAndGet(_))
+        assert((0 until 100).forall(runs.get(_) == 1), "a phase after a failed one runs every index")
+        g.foreach(100)(i => if (i == 3) throw new IllegalStateException(s"boom $i"))
+      }
+    }
+    assert(e.getMessage == "boom 3")
+    val later = Future(Parallel.map(1 to 16)(_ * 2))(ExecutionContext.global)
+    assert(Await.result(later, 60.seconds) == (1 to 16).map(_ * 2))
+  }
+
+  test("a gang opened on a pool thread runs inline on that thread") {
+    val ran = Parallel.map(1 to 4) { _ =>
+      val outer = Thread.currentThread()
+      val seen = ConcurrentHashMap.newKeySet[Thread]()
+      Parallel.gang(_.foreach(1000)(_ => seen.add(Thread.currentThread())))
+      seen.asScala.toSet == Set(outer)
+    }
+    assert(ran.forall(identity))
+  }
+
+  test("once a gang's body returns, no helper occupies a pool thread") {
+    Parallel.gang { g => (0 until 200).foreach(_ => g.foreach(64)(_ => Thread.onSpinWait())) }
+    assertPoolFree()
+    intercept[IllegalStateException](Parallel.gang(_.foreach(64)(_ => throw new IllegalStateException)))
+    assertPoolFree()
   }
 }

@@ -276,6 +276,15 @@ class GeneratorsSpec extends AnyFunSuite {
       assert(t.rows.forall(_.isInstanceOf[IndexedSeq[_]]), s"${b.name}/${t.id}")
   }
 
+  test("copy keeps IndexedSeq rows, also when given List rows") {
+    val t = LakeTable("l.csv", "d", List("a", "b"), List(List("x", null)))
+    val copied = t.copy(rows = List(List("p", "q"), List(null, " ")))
+    assert(copied.rows.forall(_.isInstanceOf[IndexedSeq[_]]))
+    assert(copied.rows == List(List("p", "q"), List(null, " ")) && copied.column(0) == Seq("p", null))
+    assert(copied.id == "l.csv" && copied.description == "d" && copied.columnNames == List("a", "b"))
+    assert(t.copy(id = "m.csv").rows.forall(_.isInstanceOf[IndexedSeq[_]]))
+  }
+
   test("generators are deterministic in their seed") {
     val again = TusSantos.generate(seed = 5, perSeed = 6, nPairs = 300)
     assert(again.train.map(p => (p.t1, p.t2, p.label(0))) == tus.train.map(p => (p.t1, p.t2, p.label(0))))

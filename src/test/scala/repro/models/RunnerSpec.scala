@@ -1,5 +1,14 @@
 package repro.models
 
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import scala.jdk.CollectionConverters._
+
+import org.apache.logging.log4j.{Level, LogManager}
+import org.apache.logging.log4j.core.{LogEvent, Logger => CoreLogger}
+import org.apache.logging.log4j.core.appender.AbstractAppender
+import org.apache.logging.log4j.core.config.Property
+
 import repro.SparkSpec
 import repro.lakebench.{CkanSubset, EcbJoin, EcbUnion, TusSantos}
 
@@ -108,5 +117,29 @@ class RunnerSpec extends SparkSpec {
     assert(Runner.metricName(BinaryTask) == "F1")
     assert(Runner.metricName(RegressionTask) == "R2")
     assert(Runner.metricName(MultiLabelTask(Seq("a"))) == "F1")
+  }
+
+  test("trainEval logs each fit's diagnostics at DEBUG and returns the same score") {
+    val fs = Runner.featurize(spark, Baselines.vanillaBert, bench)
+    val quiet = Runner.trainEval(bench.task, fs, 0L)
+    val logger = LogManager.getLogger(Runner.getClass).asInstanceOf[CoreLogger]
+    val lines = new ConcurrentLinkedQueue[String]()
+    val capture = new AbstractAppender("capture", null, null, true, Property.EMPTY_ARRAY) {
+      override def append(e: LogEvent): Unit = lines.add(e.getMessage.getFormattedMessage)
+    }
+    capture.start()
+    val level = logger.getLevel
+    logger.addAppender(capture)
+    logger.setLevel(Level.DEBUG)
+    val logged =
+      try Runner.trainEval(bench.task, fs, 0L)
+      finally { logger.removeAppender(capture); logger.setLevel(level) }
+    assert(java.lang.Double.compare(logged, quiet) == 0)
+    val width = fs.xTrain.head.length
+    val Line = s"trained Binary: $width inputs, ${fs.xTrain.length} train rows, seed 0: (\\d+) epochs, best validation loss (\\S+)".r
+    val got = lines.asScala.collect { case Line(epochs, loss) => (epochs.toInt, loss.toDouble) }.toSeq
+    assert(got.size == 1, lines.asScala.mkString("\n"))
+    val (epochs, loss) = got.head
+    assert(epochs > 20 && epochs <= 300 && !loss.isNaN && !loss.isInfinite, got)
   }
 }

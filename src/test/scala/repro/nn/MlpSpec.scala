@@ -76,4 +76,14 @@ class MlpSpec extends AnyFunSuite {
       assert(p > 0.0 && p < 1.0)
     }
   }
+
+  test("training reports its epochs and best validation loss, and frees the pool when it returns") {
+    val rng = new scala.util.Random(4)
+    val xs = Array.fill(400)(Array.fill(129)(rng.nextGaussian()))
+    val ys = xs.map(x => Array(if (x(0) + x(1) > 0) 1.0 else 0.0))
+    val m = Mlp.train(Mlp.Binary, xs.take(300), ys.take(300), xs.drop(300), ys.drop(300), seed = 0)
+    assert(m.epochs > Mlp.Patience && m.epochs <= Mlp.MaxEpochs, s"${m.epochs} epochs")
+    assert(!m.bestLoss.isNaN && !m.bestLoss.isInfinite, s"best loss ${m.bestLoss}")
+    repro.core.ParallelSpec.assertPoolFree()
+  }
 }
