@@ -12,7 +12,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * `repro.jobs.Table1Job` in a JVM of its own, with this JVM's classpath and
   * options (the Spark `--add-opens` flags and system properties) but a 3 GB
   * heap, and fails if it is still running after the timeout. Table 1
-  * generates all eight benchmarks, about 25 s of work.
+  * generates all eight benchmarks and aggregates their table metadata in
+  * one Spark query: about 20 s on a 4-core machine, most of it generation
+  * and Spark start-up.
   */
 class JobExitBench extends AnyFunSuite {
 

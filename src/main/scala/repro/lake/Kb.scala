@@ -28,7 +28,10 @@ object Kb {
   /** An entity: label + numeric property values (by property id). */
   case class Entity(label: String, classIdx: Int, values: Map[String, String])
 
-  case class Graph(classes: Seq[KbClass], entities: Seq[Seq[Entity]])
+  /** The classes and, per class index, its entities. Both index in O(1):
+    * table generation looks up an entity for every relation cell.
+    */
+  case class Graph(classes: IndexedSeq[KbClass], entities: IndexedSeq[IndexedSeq[Entity]])
 
   private val SyllablePool = Vector(
     "ka", "ro", "ve", "li", "mo", "sa", "tu", "ne", "pi", "do", "ha", "zu",
@@ -100,7 +103,7 @@ object Kb {
         else if (rng.nextDouble() < 0.12) labels += genericPool(rng.nextInt(genericPool.size))
         else labels += label(k, rng)
       }
-      labels.toSeq.map { lbl =>
+      labels.toVector.map { lbl =>
         val vals = k.properties.flatMap { p =>
           p.kind match {
             case "int"   => Some(p.id -> math.max(0, (rng.nextGaussian() * 0.5 + 1.0) * p.scale).round.toString)

@@ -15,11 +15,7 @@ object Reports {
 
   // ---------------------------------------------------------------- Table 1
 
-  def table1(spark: SparkSession): Seq[String] = {
-    val header =
-      f"${"Benchmark"}%-17s | ${"#Tables"}%8s | ${"AvgRows"}%9s | ${"AvgCols"}%8s | ${"Train"}%6s | ${"Test"}%5s | ${"Valid"}%5s | ${"Str%"}%6s | ${"Int%"}%5s | ${"Flt%"}%5s | ${"Date%"}%5s"
-    header +: LakeBenchSuite.all.map(b => Stats.table1Row(spark, b))
-  }
+  def table1(spark: SparkSession): Seq[String] = Stats.table1(spark, LakeBenchSuite.all)
 
   // ---------------------------------------------------------------- Table 2
 

@@ -109,16 +109,15 @@ object Embeddings {
     * the embedding of the first 100 values, written into one array at fixed
     * offsets and L2-normalized as a whole.
     */
-  def column(c: ColumnSketch, values: Seq[String], context: Array[Double] = Array.empty): Array[Double] = {
-    val ctxWidth = if (context.isEmpty) MinHash.DefaultK else context.length
+  def column(c: ColumnSketch, values: Seq[String], context: Array[Double]): Array[Double] = {
     val out = new Array[Double](c.valueMinHash.length + MinHash.DefaultK + NumericWidth +
-                                valueEmbedder.dim + ctxWidth + valueEmbedder.dim)
+                                valueEmbedder.dim + context.length + valueEmbedder.dim)
     var at = signBlock(c.valueMinHash, c.valueMinHash.length, weight = 1.0, out, 0)
     at = signBlock(c.tokenMinHash, MinHash.DefaultK, weight = 0.6, out, at)
     at = numericBlock(c, weight = 0.6, out, at)
     at = unitBlock(valueEmbedder.embed(Tokenizer.tokenize(c.name)), 0.4, out, at)
     System.arraycopy(context, 0, out, at, context.length)
-    at += ctxWidth
+    at += context.length
     unitBlock(valueEmbedder.embed(values.iterator.take(100).flatMap(Tokenizer.tokenize)), 0.9, out, at)
     normalize(out, 0, out.length)
     out

@@ -11,7 +11,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * `core` and `lake` use none from `nn`, and `search` uses none from
   * `models`. An import and a fully qualified name both count as a use;
   * comments do not. `search` also names no Spark `Dataset` or `DataFrame`,
-  * so its indexes stay plain driver-side values.
+  * so its indexes stay plain driver-side values, and `lake` and `nn` name
+  * nothing from `org.apache.spark`.
   */
 class LayeringSpec extends AnyFunSuite {
 
@@ -44,6 +45,12 @@ class LayeringSpec extends AnyFunSuite {
   private def sparkTables(src: String): Seq[String] =
     "\\w*(Dataset|DataFrame)\\w*".r.findAllIn(withoutComments(src)).toSeq.distinct
 
+  /** The names of `org.apache.spark` that `src` uses outside its comments:
+    * qualified names, and imports through `org.apache.{...}`.
+    */
+  private def sparkNames(src: String): Seq[String] =
+    "\\borg\\s*\\.\\s*apache\\s*\\.\\s*(spark\\b|\\{[^}]*\\bspark\\b)".r.findAllIn(withoutComments(src)).toSeq.distinct
+
   /** Fails naming each main source file of `layer` in which `hits` finds something. */
   private def assertNone(layer: String)(hits: String => Seq[String]): Unit = {
     val dir = root.resolve(layer)
@@ -74,7 +81,18 @@ class LayeringSpec extends AnyFunSuite {
     assert(sparkTables("/** Not a `Dataset`. */\nval datasets = Seq(dataFrame) // nor a DataFrame").isEmpty)
   }
 
+  test("the Spark guard sees imports and qualified names, not comments") {
+    assert(sparkNames("import org.apache.spark.sql.SparkSession") == Seq("org.apache.spark"))
+    assert(sparkNames("def f(r: org . apache . spark.sql.Row) = r").nonEmpty)
+    assert(sparkNames("import org.apache.{commons, spark => s}").nonEmpty)
+    assert(sparkNames("/** Unlike [[org.apache.spark.sql.Dataset]]. */\nval spark = 1 // org.apache.spark").isEmpty)
+    assert(sparkNames("import org.apache.commons.io.FileUtils\nimport org.apache.sparkle.X").isEmpty)
+  }
+
   test("repro.search names no Spark Dataset or DataFrame")(assertNone("search")(sparkTables))
+
+  for (layer <- Seq("lake", "nn"))
+    test(s"repro.$layer names nothing from org.apache.spark")(assertNone(layer)(sparkNames))
 
   for ((layer, banned) <- forbidden)
     test(s"repro.$layer uses nothing from ${banned.map("repro." + _).mkString(", ")}")(assertNone(layer)(uses(_, banned)))

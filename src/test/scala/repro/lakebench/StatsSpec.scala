@@ -2,25 +2,37 @@ package repro.lakebench
 
 import repro.{Oracle, SparkSpec}
 import repro.lake.LakeTable
+import repro.report.Reports
 
 class StatsSpec extends SparkSpec {
 
-  private lazy val bench = {
-    val t1 = LakeTable("x.csv", "", Seq("s", "i"), Seq(Seq("a", "1"), Seq("b", "2")))
-    val t2 = LakeTable("y.csv", "", Seq("f", "d", "s2"),
-      Seq(Seq("1.5", "2020-01-01", "p"), Seq("2.5", "2020-02-01", "q")))
-    Benchmark("Tiny", BinaryTask, Map(t1.id -> t1, t2.id -> t2),
-      Seq(PairExample("x.csv", "y.csv", Array(0.0))), Seq.empty, Seq.empty)
-  }
+  private def benchmark(name: String, tables: LakeTable*): Benchmark =
+    Benchmark(name, BinaryTask, tables.map(t => t.id -> t).toMap,
+      Seq(PairExample(tables.head.id, tables.last.id, Array(0.0))), Seq.empty, Seq.empty)
+
+  private lazy val tiny = benchmark("Tiny",
+    LakeTable("x.csv", "", Seq("s", "i"), Seq(Seq("a", "1"), Seq("b", "2"))),
+    LakeTable("y.csv", "", Seq("f", "d", "s2"), Seq(Seq("1.5", "2020-01-01", "p"), Seq("2.5", "2020-02-01", "q"))))
+
+  // 3 tables, 7 rows, 6 columns: 2 string, 2 int, 1 float, 1 date.
+  private lazy val small = benchmark("Small",
+    LakeTable("a.csv", "", Seq("s"), Seq(Seq("x"))),
+    LakeTable("b.csv", "", Seq("i", "f"), Seq(Seq("1", "0.5"), Seq("2", "1.5"))),
+    LakeTable("c.csv", "", Seq("s", "d", "i"), (1 to 4).map(i => Seq(s"v$i", s"2021-0$i-01", i.toString))))
+
+  private lazy val wee = benchmark("Wee", LakeTable("w.csv", "", Seq("i"), Seq(Seq("7"))))
+
+  private def metas(bs: Benchmark*): Seq[Stats.TableMeta] =
+    for (b <- bs; t <- b.tables.values.toSeq) yield Stats.meta(b.name, t)
 
   test("meta infers per-table type counts") {
-    val m = Stats.meta("Tiny", bench.tables("y.csv"))
+    val m = Stats.meta("Tiny", tiny.tables("y.csv"))
     assert(m.rows == 2 && m.cols == 3)
     assert(m.nFloat == 1 && m.nDate == 1 && m.nString == 1 && m.nInt == 0)
   }
 
   test("aggregate computes Table 1 style numbers") {
-    val row = Stats.aggregate(spark, Seq(bench)).collect().head
+    val row = Stats.aggregate(spark, metas(tiny)).collect().head
     assert(row.getAs[Long]("num_tables") == 2)
     assert(math.abs(row.getAs[Double]("avg_rows") - 2.0) < 1e-9)
     assert(math.abs(row.getAs[Double]("avg_cols") - 2.5) < 1e-9)
@@ -31,22 +43,44 @@ class StatsSpec extends SparkSpec {
 
   test("aggregation agrees with the DuckDB oracle") {
     import spark.implicits._
-    val metas = bench.tables.values.map(t => Stats.meta("Tiny", t)).toSeq
-    val df = spark.createDataset(metas).toDF()
-    import org.apache.spark.sql.functions._
-    val agg = df.groupBy($"benchmark").agg(
-      count(lit(1)) as "n", avg($"rows") as "avg_rows", sum($"nString") as "strings")
+    val ms = metas(tiny, small)
+    // The oracle loads every column as VARCHAR.
+    val pcts = Seq("nString" -> "pct_string", "nInt" -> "pct_int", "nFloat" -> "pct_float", "nDate" -> "pct_date")
+      .map { case (n, alias) =>
+        s"round(CAST(sum(CAST($n AS BIGINT)) AS DOUBLE) * 100.0 / sum(CAST(cols AS BIGINT)), 2) AS $alias"
+      }
     Oracle.assertEquivalent(
-      agg,
-      "SELECT benchmark, count(*) AS n, avg(CAST(rows AS DOUBLE)) AS avg_rows, " +
-        "sum(CAST(nString AS BIGINT)) AS strings FROM metas GROUP BY benchmark",
-      "metas" -> df)
-    val _ = agg
+      Stats.aggregate(spark, ms),
+      "SELECT benchmark, count(*) AS num_tables, round(avg(CAST(rows AS DOUBLE)), 2) AS avg_rows, " +
+        s"round(avg(CAST(cols AS DOUBLE)), 2) AS avg_cols, ${pcts.mkString(", ")} FROM metas GROUP BY benchmark",
+      "metas" -> spark.createDataset(ms).toDF())
   }
 
-  test("table1Row renders a single formatted line") {
-    val line = Stats.table1Row(spark, bench)
-    assert(line.startsWith("Tiny"))
-    assert(line.split('|').length == 11)
+  test("table1 renders its header, then one line per benchmark in the order given") {
+    val lines = Stats.table1(spark, Seq(small, tiny))
+    assert(lines.map(_.takeWhile(_ != ' ')) == Seq("Benchmark", "Small", "Tiny"))
+    assert(lines.forall(_.split('|').length == 11))
+    assert(lines(1).endsWith("|  33.33 | 33.33 | 16.67 | 16.67"))
+  }
+
+  test("table1 runs as many Spark jobs for three benchmarks as for one") {
+    val one = sparkJobsDuring(Stats.table1(spark, Seq(wee)))
+    assert(one > 0)
+    assert(sparkJobsDuring(Stats.table1(spark, Seq(wee, tiny, small))) == one)
+  }
+
+  // The lines `Table1Bench` prints. A change that means to move a number
+  // updates them and says why.
+  test("Table 1 of the default suite keeps every printed line") {
+    assert(Reports.table1(spark) == Seq(
+      "Benchmark         |  #Tables |   AvgRows |  AvgCols |  Train |  Test | Valid |   Str% |  Int% |  Flt% | Date%",
+      "TUS-SANTOS        |      432 |     89.98 |     4.45 |   2240 |   280 |   280 |  48.80 | 16.16 | 19.65 | 15.38",
+      "Wiki Union        |      882 |     69.66 |     3.74 |   3360 |   420 |   420 |  38.61 | 30.36 | 31.03 |  0.00",
+      "ECB Union         |      650 |    105.57 |    15.04 |   1680 |   210 |   210 |  73.66 |  6.14 | 13.55 |  6.65",
+      "Wiki Jaccard      |      882 |     69.66 |     3.74 |   1360 |   170 |   170 |  38.61 | 30.36 | 31.03 |  0.00",
+      "Wiki Containment  |      882 |     69.66 |     3.74 |   1680 |   210 |   210 |  38.61 | 30.36 | 31.03 |  0.00",
+      "Spider-OpenData   |     1440 |    104.30 |     4.55 |   1152 |   144 |   144 |  30.39 | 29.99 | 19.82 | 19.79",
+      "ECB Join          |       64 |    427.53 |     9.28 |   1612 |   203 |   201 |  72.22 |  6.23 | 10.77 | 10.77",
+      "CKAN Subset       |     3000 |    476.02 |    11.46 |   1600 |   200 |   200 |   8.73 | 50.19 | 41.08 |  0.00"))
   }
 }

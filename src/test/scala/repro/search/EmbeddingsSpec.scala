@@ -2,7 +2,7 @@ package repro.search
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.{Similarity, TableSketcher}
+import repro.core.{MinHash, Similarity, TableSketcher}
 import repro.lake.LakeTable
 
 /** Pure (no SparkSession) properties of the search embeddings. */
@@ -17,23 +17,23 @@ class EmbeddingsSpec extends AnyFunSuite {
   test("column embeddings are unit-norm and fixed-dimension") {
     val s = cities
     val t = LakeTable("c", "", Seq("city", "pop"), (1 to 40).map(i => Seq(s"Riverdale $i", (1000 + i).toString)))
-    val e0 = Embeddings.column(s.columns(0), t.column(0))
-    val e1 = Embeddings.column(s.columns(1), t.column(1))
+    val e0 = Embeddings.column(s.columns(0), t.column(0), new Array[Double](MinHash.DefaultK))
+    val e1 = Embeddings.column(s.columns(1), t.column(1), new Array[Double](MinHash.DefaultK))
     assert(e0.length == e1.length)
     assert(math.abs(math.sqrt(e0.map(v => v * v).sum) - 1.0) < 1e-9)
   }
 
   test("identical columns embed identically") {
     val t = LakeTable("c", "", Seq("city", "pop"), (1 to 40).map(i => Seq(s"Riverdale $i", (1000 + i).toString)))
-    val a = Embeddings.column(cities.columns(0), t.column(0))
-    val b = Embeddings.column(cities.columns(0), t.column(0))
+    val a = Embeddings.column(cities.columns(0), t.column(0), new Array[Double](MinHash.DefaultK))
+    val b = Embeddings.column(cities.columns(0), t.column(0), new Array[Double](MinHash.DefaultK))
     assert(a.sameElements(b))
   }
 
   test("string and numeric columns are pushed apart by the type flag") {
     val t = LakeTable("c", "", Seq("city", "pop"), (1 to 40).map(i => Seq(s"Riverdale $i", (1000 + i).toString)))
-    val str = Embeddings.column(cities.columns(0), t.column(0))
-    val num = Embeddings.column(cities.columns(1), t.column(1))
+    val str = Embeddings.column(cities.columns(0), t.column(0), new Array[Double](MinHash.DefaultK))
+    val num = Embeddings.column(cities.columns(1), t.column(1), new Array[Double](MinHash.DefaultK))
     assert(Similarity.cosine(str, num) < 0.5)
   }
 
@@ -41,9 +41,9 @@ class EmbeddingsSpec extends AnyFunSuite {
     val t1 = LakeTable("x", "", Seq("c"), (1 to 50).map(i => Seq(s"val$i")))
     val t2 = LakeTable("y", "", Seq("c"), (26 to 75).map(i => Seq(s"val$i")))
     val t3 = LakeTable("z", "", Seq("c"), (1 to 50).map(i => Seq(s"other$i")))
-    val e1 = Embeddings.column(TableSketcher.sketch(t1).columns(0), t1.column(0))
-    val e2 = Embeddings.column(TableSketcher.sketch(t2).columns(0), t2.column(0))
-    val e3 = Embeddings.column(TableSketcher.sketch(t3).columns(0), t3.column(0))
+    val e1 = Embeddings.column(TableSketcher.sketch(t1).columns(0), t1.column(0), new Array[Double](MinHash.DefaultK))
+    val e2 = Embeddings.column(TableSketcher.sketch(t2).columns(0), t2.column(0), new Array[Double](MinHash.DefaultK))
+    val e3 = Embeddings.column(TableSketcher.sketch(t3).columns(0), t3.column(0), new Array[Double](MinHash.DefaultK))
     assert(Similarity.cosine(e1, e2) > Similarity.cosine(e1, e3))
   }
 

@@ -25,9 +25,9 @@ class SearchSpec extends SparkSpec {
   test("column embeddings have a fixed dimension and unit norm") {
     val t = tables.values.head
     val s = sketches(t.id)
-    val e = Embeddings.column(s.columns.head, t.column(0))
+    val e = Embeddings.column(s.columns.head, t.column(0), new Array[Double](MinHash.DefaultK))
     assert(math.abs(math.sqrt(e.map(v => v * v).sum) - 1.0) < 1e-9)
-    val e2 = Embeddings.column(s.columns.last, t.column(t.numCols - 1))
+    val e2 = Embeddings.column(s.columns.last, t.column(t.numCols - 1), new Array[Double](MinHash.DefaultK))
     assert(e.length == e2.length)
   }
 
@@ -35,10 +35,10 @@ class SearchSpec extends SparkSpec {
     val ts = lake.tables.filter(_.classIdx == lake.tables.head.classIdx)
     if (ts.size >= 2) {
       val a = ts.head; val b = ts(1)
-      val ea = Embeddings.column(sketches(a.table.id).columns.head, a.table.column(0))
+      val ea = Embeddings.column(sketches(a.table.id).columns.head, a.table.column(0), new Array[Double](MinHash.DefaultK))
       val other = lake.tables.find(_.classIdx != a.classIdx).get
-      val eb = Embeddings.column(sketches(b.table.id).columns.head, b.table.column(0))
-      val eo = Embeddings.column(sketches(other.table.id).columns.head, other.table.column(0))
+      val eb = Embeddings.column(sketches(b.table.id).columns.head, b.table.column(0), new Array[Double](MinHash.DefaultK))
+      val eo = Embeddings.column(sketches(other.table.id).columns.head, other.table.column(0), new Array[Double](MinHash.DefaultK))
       assert(Similarity.cosine(ea, eb) > Similarity.cosine(ea, eo),
         "same-class entity columns must be closer than cross-class")
     }
