@@ -3,6 +3,8 @@ package repro
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 
+import repro.lake.Text
+
 /** DuckDB correctness oracle.
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
@@ -23,9 +25,9 @@ object Oracle {
       .map(r => idx.map { i =>
         r.get(i) match {
           case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
+          case d: Double            => Text.format("%.6f", d)
+          case f: Float             => Text.format("%.6f", f.toDouble)
+          case bd: java.math.BigDecimal => Text.format("%.6f", bd.doubleValue)
           case x                    => x.toString
         }
       })
@@ -61,7 +63,7 @@ object Oracle {
         .toSeq
       val sCols = sparkDf.columns.toSeq
       require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+        dCols.map(Text.lower).toSet == sCols.map(Text.lower).toSet,
         s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
       )
       val got = canon(sparkDf.collect().toSeq, sCols)

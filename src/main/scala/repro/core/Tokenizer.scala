@@ -1,9 +1,12 @@
 package repro.core
 
+import repro.lake.Text
+
 /** Lowercasing word tokenizer — the repo's stand-in for the BERT-uncased
-  * tokenizer. Lowercases (default locale), then emits every maximal run of
-  * ASCII letters and digits, so "Reference Area" -> ["reference", "area"]
-  * and "AT130" -> ["at130"].
+  * tokenizer. Lowercases with `Text.lower` (`Locale.ROOT`, so "I" -> "i"
+  * in every locale), then emits every maximal run of ASCII letters and
+  * digits, so "Reference Area" -> ["reference", "area"] and "AT130" ->
+  * ["at130"].
   *
   * Only ASCII letters and digits make words, so non-ASCII letters split
   * them: "Café Crème" -> ["caf", "cr", "me"]. Lowercasing runs first, so a
@@ -20,7 +23,7 @@ object Tokenizer {
   def tokenize(s: String): Seq[String] =
     if (s == null) Nil
     else {
-      val lower = s.toLowerCase
+      val lower = Text.lower(s)
       val n = lower.length
       val out = List.newBuilder[String]
       var i = 0

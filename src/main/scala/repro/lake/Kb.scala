@@ -107,7 +107,7 @@ object Kb {
         val vals = k.properties.flatMap { p =>
           p.kind match {
             case "int"   => Some(p.id -> math.max(0, (rng.nextGaussian() * 0.5 + 1.0) * p.scale).round.toString)
-            case "float" => Some(p.id -> f"${math.max(0.01, (rng.nextGaussian() * 0.5 + 1.0) * p.scale)}%.2f")
+            case "float" => Some(p.id -> Text.format("%.2f", math.max(0.01, (rng.nextGaussian() * 0.5 + 1.0) * p.scale)))
             case _       => None // relation values resolved at table-generation time
           }
         }.toMap

@@ -26,6 +26,11 @@ import repro.lake.LakeTable
   */
 object CkanSubset {
 
+  /** The float cell `v + 0.5` if `half`, else `v + 0.0`, for a non-negative
+    * `v`, as `Text.format("%.1f", _)` prints it, built without a formatter.
+    */
+  private[lakebench] def floatCell(v: Int, half: Boolean): String = if (half) s"$v.5" else s"$v.0"
+
   def generate(seed: Long = 81, nBaseTables: Int = 500): Benchmark = {
     val rng = new Random(seed)
 
@@ -62,7 +67,7 @@ object CkanSubset {
             if (rng.nextDouble() < 0.15) lo + rng.nextInt(hi - lo + 1) // full-band draw
             else bases(m) + (drifts(m) * frac).round.toInt + rng.nextInt(7) - 3
           val v = math.max(0, math.min(hi, math.max(lo, raw)))
-          if (isFloat(m)) f"${v + (rng.nextInt(2) * 5) / 10.0}%.1f" else v.toString
+          if (isFloat(m)) floatCell(v, half = rng.nextInt(2) == 1) else v.toString
         }
         Vector(codes(e), names(e)) ++ ms
       }).toVector

@@ -2,6 +2,8 @@ package repro.lakebench
 
 import scala.util.Random
 
+import repro.lake.Text
+
 /** ECB Join multi-label classification (§5.2.4): each dataset is collapsed
   * into one large table whose dimension columns now *vary* by row; for a
   * pair of datasets the labels are the dimensions on which an equi-join on
@@ -38,8 +40,8 @@ object EcbJoin {
       val rows = ds.rows.zipWithIndex.map { case (assign, r) =>
         val scale = EcbLake.scaleOf(assign)
         ds.dims.map(assign) ++ Seq(
-          f"${2000 + r % 24}%04d-${(r % 4) * 3 + 1}%02d-01",
-          f"${scale * (0.9 + rng.nextDouble() * 0.2)}%.2f")
+          Text.format("%04d-%02d-01", 2000 + r % 24, (r % 4) * 3 + 1),
+          Text.format("%.2f", scale * (0.9 + rng.nextDouble() * 0.2)))
       }
       ds.id -> repro.lake.LakeTable(ds.id, "ECB collapsed dataset", header, rows)
     }.toMap

@@ -2,7 +2,7 @@ package repro.lakebench
 
 import scala.util.Random
 
-import repro.lake.LakeTable
+import repro.lake.{LakeTable, Text}
 
 /** European-Central-Bank-style statistical lake substrate (§5, Fig. 5a):
   * datasets of time-series tables coded on shared dimensions. Dimension
@@ -54,9 +54,9 @@ object EcbLake {
     val rows = (0 until nRows).map { r =>
       val dimCells = dims.map(assignment)
       val q        = r % 4
-      val time     = f"${y0 + r / 4}%04d-${q * 3 + 1}%02d-01"
+      val time     = Text.format("%04d-%02d-01", y0 + r / 4, q * 3 + 1)
       val obs = (1 to nObsCols).map { c =>
-        f"${scale * (1.0 + 0.05 * c) * (1.0 + 0.1 * math.sin(r / 7.0 + c)) * (0.9 + rng.nextDouble() * 0.2)}%.2f"
+        Text.format("%.2f", scale * (1.0 + 0.05 * c) * (1.0 + 0.1 * math.sin(r / 7.0 + c)) * (0.9 + rng.nextDouble() * 0.2))
       }
       dimCells ++ Seq(time) ++ obs
     }

@@ -2,7 +2,7 @@ package repro.lakebench
 
 import scala.util.Random
 
-import repro.lake.LakeTable
+import repro.lake.{LakeTable, Text}
 
 /** Spider-OpenData join benchmark (§5.2.3, Fig. 5b): for each base table,
   * pick a join column (mostly-unique, non-float), sort by it, split into
@@ -38,8 +38,8 @@ object SpiderOpenData {
           var cur = offset.toLong
           (0 until nRows).map { _ => cur += 1 + rng.nextInt(3); cur.toString }.toVector
         } else {
-          val p = f"${('A' + rng.nextInt(26)).toChar}${('A' + rng.nextInt(26)).toChar}"
-          (0 until nRows).map(i => f"$p-$offset%05d-$i%04d").toVector.sorted
+          val p = s"${('A' + rng.nextInt(26)).toChar}${('A' + rng.nextInt(26)).toChar}"
+          (0 until nRows).map(i => Text.format("%s-%05d-%04d", p, offset, i)).toVector.sorted
         }
 
       // Attribute columns: 5-9 mixed-type columns.
@@ -52,8 +52,8 @@ object SpiderOpenData {
         val gen: Int => String = kind match {
           case 0 => _ => pool(rng.nextInt(pool.size))
           case 1 => i => (i * 3 + rng.nextInt(50)).toString
-          case 2 => _ => f"${base * (0.5 + rng.nextDouble())}%.2f"
-          case 3 => _ => f"${2000 + rng.nextInt(23)}%04d-${1 + rng.nextInt(12)}%02d-${1 + rng.nextInt(28)}%02d"
+          case 2 => _ => Text.format("%.2f", base * (0.5 + rng.nextDouble()))
+          case 3 => _ => Text.format("%04d-%02d-%02d", 2000 + rng.nextInt(23), 1 + rng.nextInt(12), 1 + rng.nextInt(28))
         }
         (name, gen)
       }

@@ -2,7 +2,7 @@ package repro.lakebench
 
 import scala.util.Random
 
-import repro.lake.LakeTable
+import repro.lake.{LakeTable, Text}
 
 /** TUS-SANTOS binary-classification benchmark (§5.1.1).
   *
@@ -25,9 +25,9 @@ object TusSantos {
   private val Domains: Seq[(String, Seq[ColSpec])] = {
     def cat(vals: String*): (Random, Int) => String = (r, _) => vals(r.nextInt(vals.length))
     def int(lo: Int, hi: Int): (Random, Int) => String = (r, _) => (lo + r.nextInt(hi - lo)).toString
-    def flt(lo: Double, hi: Double): (Random, Int) => String = (r, _) => f"${lo + r.nextDouble() * (hi - lo)}%.2f"
+    def flt(lo: Double, hi: Double): (Random, Int) => String = (r, _) => Text.format("%.2f", lo + r.nextDouble() * (hi - lo))
     def date(y0: Int, y1: Int): (Random, Int) => String =
-      (r, _) => f"${y0 + r.nextInt(y1 - y0)}%04d-${1 + r.nextInt(12)}%02d-${1 + r.nextInt(28)}%02d"
+      (r, _) => Text.format("%04d-%02d-%02d", y0 + r.nextInt(y1 - y0), 1 + r.nextInt(12), 1 + r.nextInt(28))
     def key(prefix: String): (Random, Int) => String = (_, i) => s"$prefix-$i"
 
     Seq(

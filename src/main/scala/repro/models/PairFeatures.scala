@@ -2,6 +2,7 @@ package repro.models
 
 import repro.core.Similarity.{bestMatch, max}
 import repro.core.Tokenizer
+import repro.lake.Text
 import repro.nn.Metrics.mean
 
 /** The header side of one table, as every pair featurizer reads it:
@@ -22,7 +23,7 @@ case class Header(
 object Header {
   /** Lowercased `names`, their token sets and the description's, and the table's counts. */
   def of(names: Seq[String], description: String, rowCount: Long, nCols: Int): Header =
-    Header(names.map(_.toLowerCase), names.map(n => Tokenizer.tokenize(n).toSet),
+    Header(names.map(Text.lower), names.map(n => Tokenizer.tokenize(n).toSet),
            Tokenizer.tokenize(description).toSet, rowCount, nCols)
 }
 

@@ -46,11 +46,20 @@ object TabSketchFm {
   val ContentDim      = 3
   val Dim: Int        = HeaderDim + MinhashDim + NumDim + ContentDim
 
-  private def header(t: TableSketch): Header =
-    Header.of(t.columns.map(_.name), t.description, t.rowCount, t.columns.size)
+  /** One table of a pair: its sketch, its `Header`, and its columns under
+    * the folded names that the header computed, in column order. A folded
+    * name stands for the first column that carries it.
+    */
+  private final class Side(val t: TableSketch) {
+    val header: Header = Header.of(t.columns.map(_.name), t.description, t.rowCount, t.columns.size)
+    val named: Seq[(String, ColumnSketch)] = header.names.zip(t.columns)
 
-  private def colByName(t: TableSketch, name: String): ColumnSketch =
-    t.columns.find(_.name.toLowerCase == name).get
+    /** Each folded name of the columns that `keep` accepts, mapped to the first of them that carries it. */
+    def byName(keep: ColumnSketch => Boolean): Map[String, ColumnSketch] =
+      named.filter(nc => keep(nc._2)).distinctBy(_._1).toMap
+
+    val col: Map[String, ColumnSketch] = byName(_ => true)
+  }
 
   /** Best-match MinHash statistics from A's columns into B's. */
   private def minhashDirected(a: TableSketch, b: TableSketch): (Seq[Double], Seq[Double], Seq[Double]) = {
@@ -62,16 +71,16 @@ object TabSketchFm {
     (jac, con, tok)
   }
 
-  private def minhashFeatures(a: TableSketch, b: TableSketch, shared: Seq[String]): Array[Double] = {
-    val (jA, cA, tA) = minhashDirected(a, b)
-    val (jB, cB, tB) = minhashDirected(b, a)
+  private def minhashFeatures(a: Side, b: Side, shared: Seq[String]): Array[Double] = {
+    val (jA, cA, tA) = minhashDirected(a.t, b.t)
+    val (jB, cB, tB) = minhashDirected(b.t, a.t)
     val j = jA ++ jB
     val t = tA ++ tB
     Array(
       max(j), mean(j), topMean(j, 3), fracAbove(j, 0.8), fracAbove(j, 0.3),
       max(cA), mean(cA), max(cB), mean(cB),
       max(t), mean(t), topMean(t, 3),
-    ) ++ maxSlots(shared)(n => Some(MinHash.jaccard(colByName(a, n).valueMinHash, colByName(b, n).valueMinHash)))
+    ) ++ maxSlots(shared)(n => Some(MinHash.jaccard(a.col(n).valueMinHash, b.col(n).valueMinHash)))
   }
 
   /** Mean relative difference of two numeric columns' sketch stats at `idx`. */
@@ -82,28 +91,24 @@ object TabSketchFm {
   private val numDistance = statDistance(Seq(0, 2, 3, 6)) _ // mean, min, max, p50
 
   /** Align numeric columns: same header name wins; otherwise min distance. */
-  private def alignNumeric(a: TableSketch, b: TableSketch): Seq[(ColumnSketch, ColumnSketch)] = {
-    val na = a.columns.filter(_.isNumeric)
-    val nb = b.columns.filter(_.isNumeric)
+  private def alignNumeric(a: Side, b: Side): Seq[(ColumnSketch, ColumnSketch)] = {
+    val na = a.named.filter(_._2.isNumeric)
+    val nb = b.t.columns.filter(_.isNumeric)
     if (na.isEmpty || nb.isEmpty) return Seq.empty
-    val byName = nb.groupBy(_.name.toLowerCase)
-    na.map { ca =>
-      byName.get(ca.name.toLowerCase).map(g => (ca, g.head)).getOrElse {
-        (ca, nb.minBy(cb => numDistance(ca, cb)))
-      }
-    }
+    val byName = b.byName(_.isNumeric)
+    na.map { case (n, ca) => (ca, byName.getOrElse(n, nb.minBy(cb => numDistance(ca, cb)))) }
   }
 
-  private def numericalFeatures(a: TableSketch, b: TableSketch, shared: Seq[String]): Array[Double] = {
+  private def numericalFeatures(a: Side, b: Side, shared: Seq[String]): Array[Double] = {
     // Slot similarity uses distribution *shape* (mean + quartiles): under
     // a fixed value band the extremes are identical everywhere and only
     // the shape moves with the data distribution.
     val shapeDistance = statDistance(Seq(0, 5, 6, 7)) _ // mean, p25, p50, p75
     val slots = maxSlots(shared) { n =>
-      val (ca, cb) = (colByName(a, n), colByName(b, n))
+      val (ca, cb) = (a.col(n), b.col(n))
       if (ca.isNumeric && cb.isNumeric) Some(1.0 - shapeDistance(ca, cb)) else None
     }
-    val rowRatio = math.min(a.rowCount, b.rowCount).toDouble / math.max(1L, math.max(a.rowCount, b.rowCount))
+    val rowRatio = math.min(a.t.rowCount, b.t.rowCount).toDouble / math.max(1L, math.max(a.t.rowCount, b.t.rowCount))
     val pairs = alignNumeric(a, b)
     if (pairs.isEmpty) return Array(0, 1, 0, 0, 1, 0, 0, 0, 0, 0, rowRatio, 0.0) ++ slots
     val dists = pairs.map { case (x, y) => numDistance(x, y) }
@@ -113,14 +118,12 @@ object TabSketchFm {
     val rangeBinA = pairs.count { case (x, y) => within(y, x) }.toDouble / pairs.size
     val meanDiff = mean(pairs.map { case (x, y) => relDiff(x.numeric(0), y.numeric(0)) })
     val pctOverlap = mean(pairs.map { case (x, y) => rangeOverlap(x.numeric(4), x.numeric(8), y.numeric(4), y.numeric(8)) })
-    val allA = a.columns; val allB = b.columns
-    val byName = allB.groupBy(_.name.toLowerCase)
-    val nameAligned = allA.flatMap(ca => byName.get(ca.name.toLowerCase).map(g => (ca, g.head)))
+    val nameAligned = a.named.flatMap { case (n, ca) => b.col.get(n).map((ca, _)) }
     val distinctLe = mean(nameAligned.map { case (x, y) => if (x.distinctCount <= y.distinctCount) 1.0 else 0.0 })
     val distinctDiff = mean(nameAligned.map { case (x, y) => math.abs(x.distinctFrac - y.distinctFrac) })
     val nullDiff = mean(nameAligned.map { case (x, y) => math.abs(x.nullFrac - y.nullFrac) })
     val widthDiff = {
-      val sa = allA.filter(c => !c.isNumeric); val sb = allB.filter(c => !c.isNumeric)
+      val sa = a.t.columns.filter(c => !c.isNumeric); val sb = b.t.columns.filter(c => !c.isNumeric)
       if (sb.isEmpty) 0.0
       else mean(sa.map(ca => sb.map(cb => math.abs(ca.avgWidth - cb.avgWidth) /
         math.max(1.0, math.max(ca.avgWidth, cb.avgWidth))).min))
@@ -131,7 +134,7 @@ object TabSketchFm {
       rangeAinB, rangeBinA, meanDiff, pctOverlap,
       distinctLe, distinctDiff, nullDiff, widthDiff,
       rowRatio,
-      numericShare(a) - numericShare(b),
+      numericShare(a.t) - numericShare(b.t),
     ) ++ slots
   }
 
@@ -145,8 +148,9 @@ object TabSketchFm {
 
   /** Full pair feature vector: header, MinHash, numerical and content groups, in that order. */
   def features(a: TableSketch, b: TableSketch): Array[Double] = {
-    val (ha, hb) = (header(a), header(b))
-    val shared = sharedNames(ha, hb)
-    headerFeatures(ha, hb) ++ minhashFeatures(a, b, shared) ++ numericalFeatures(a, b, shared) ++ contentFeatures(a, b)
+    val (sa, sb) = (new Side(a), new Side(b))
+    val shared = sharedNames(sa.header, sb.header)
+    headerFeatures(sa.header, sb.header) ++ minhashFeatures(sa, sb, shared) ++ numericalFeatures(sa, sb, shared) ++
+      contentFeatures(a, b)
   }
 }

@@ -2,6 +2,7 @@ package repro.report
 
 import org.apache.spark.sql.SparkSession
 
+import repro.lake.Text
 import repro.lakebench.{Benchmark, LakeBenchSuite, Stats}
 import repro.models.{Baselines, PairFeaturizer, Runner, SketchFeaturizer, SketchMask}
 
@@ -31,11 +32,11 @@ object Reports {
 
   private def render(cells: Seq[Cell], models: Seq[String]): Seq[String] = {
     val benches = cells.map(c => (c.bench, c.metric)).distinct
-    val header = f"${"Task"}%-22s" + models.map(m => f" | $m%-18s").mkString
+    val header = Text.format("%-22s", "Task") + models.map(Text.format(" | %-18s", _)).mkString
     header +: benches.map { case (b, metric) =>
-      f"$b%-17s ($metric%s)" + models.map { m =>
+      Text.format("%-17s (%s)", b, metric) + models.map { m =>
         val c = cells.find(x => x.bench == b && x.model == m).get
-        f" | ${c.mean}%5.2f ± ${c.std}%4.2f      "
+        Text.format(" | %5.2f ± %4.2f      ", c.mean, c.std)
       }.mkString
     }
   }

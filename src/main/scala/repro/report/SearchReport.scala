@@ -4,6 +4,7 @@ import org.apache.logging.log4j.LogManager
 import org.apache.spark.sql.SparkSession
 
 import repro.core.TableSketcher
+import repro.lake.Text
 import repro.lakebench.LakeBenchSuite
 import repro.nn.Metrics
 import repro.search.{JoinSearch, UnionSearch}
@@ -37,8 +38,8 @@ object SearchReport {
         Metrics.f1AtK(res.getOrElse(q, Seq.empty), rel, k)
       }))
     }
-    val lines = (f"$title%-14s" + Ks.map(k => f" |  F1@$k%-2d").mkString) +:
-      rows.map { case (name, scores) => f"$name%-14s" + scores.map(s => f" | $s%5.3f").mkString }
+    val lines = (Text.format("%-14s", title) + Ks.map(Text.format(" |  F1@%-2d", _)).mkString) +:
+      rows.map { case (name, scores) => Text.format("%-14s", name) + scores.map(Text.format(" | %5.3f", _)).mkString }
     (lines, rows.toMap)
   }
 
@@ -55,8 +56,8 @@ object SearchReport {
 
     val (emb, buildMs) = timed(JoinSearch.embeddingsDf(spark, sketches, tables))
     val (ours, queryMs) = timed(JoinSearch.searchEmbeddings(spark, emb, queries, Ks.max))
-    log.info(f"join search: TabSketchFM index of ${emb.size} columns built in $buildMs%.1f ms; " +
-             f"${queries.size} queries in $queryMs%.1f ms, ${queryMs / queries.size}%.2f ms per query")
+    log.info(Text.format("join search: TabSketchFM index of %d columns built in %.1f ms; %d queries in %.1f ms, " +
+             "%.2f ms per query", emb.size, buildMs, queries.size, queryMs, queryMs / queries.size))
     val methods: Seq[(String, Map[String, Seq[String]])] = Seq(
       "TabSketchFM" -> ours,
       "LSHForest"   -> JoinSearch.searchLsh(sketches, queries, Ks.max),
@@ -81,8 +82,8 @@ object SearchReport {
     // Union search has no index: the call embeds every lake table, then
     // ranks the lake for each query.
     val (ours, callMs) = timed(UnionSearch.searchEmbeddings(sketches, tables, queries, Ks.max))
-    log.info(f"union search: TabSketchFM embedded ${tables.size} tables and answered " +
-             f"${queries.size} queries in $callMs%.1f ms, ${callMs / queries.size}%.2f ms per query")
+    log.info(Text.format("union search: TabSketchFM embedded %d tables and answered %d queries in %.1f ms, " +
+             "%.2f ms per query", tables.size, queries.size, callMs, callMs / queries.size))
     val methods: Seq[(String, Map[String, Seq[String]])] = Seq(
       "TabSketchFM" -> ours,
       "D3L"         -> UnionSearch.searchD3L(sketches, queries, Ks.max),

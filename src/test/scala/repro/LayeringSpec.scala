@@ -12,7 +12,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * `models`. An import and a fully qualified name both count as a use;
   * comments do not. `search` also names no Spark `Dataset` or `DataFrame`,
   * so its indexes stay plain driver-side values, and `lake` and `nn` name
-  * nothing from `org.apache.spark`.
+  * nothing from `org.apache.spark`. No main source, and nothing in `jobs/`,
+  * formats text or folds case with the JVM's default locale: those calls
+  * go through `repro.lake.Text`, which uses `Locale.ROOT`.
   */
 class LayeringSpec extends AnyFunSuite {
 
@@ -51,13 +53,27 @@ class LayeringSpec extends AnyFunSuite {
   private def sparkNames(src: String): Seq[String] =
     "\\borg\\s*\\.\\s*apache\\s*\\.\\s*(spark\\b|\\{[^}]*\\bspark\\b)".r.findAllIn(withoutComments(src)).toSeq.distinct
 
-  /** Fails naming each main source file of `layer` in which `hits` finds something. */
-  private def assertNone(layer: String)(hits: String => Seq[String]): Unit = {
-    val dir = root.resolve(layer)
+  /** The default-locale text calls that `src` makes outside its comments:
+    * the `f` interpolator, `format` or `formatted` on a string,
+    * `String.format` without a `Locale` first, and `toLowerCase` or
+    * `toUpperCase` without an argument. `Text.format` is the allowed form.
+    */
+  private def localeCalls(src: String): Seq[String] = {
+    val code = withoutComments(src)
+    val interpolators = "(?<![\\w$%.])f\"".r.findAllIn(code).toSeq
+    val formats = "(\\w*)\\s*\\.\\s*(format|formatted)\\s*\\(\\s*(\\w*)".r.findAllMatchIn(code).filterNot { m =>
+      m.group(2) == "format" && (m.group(1) == "Text" || m.group(1) == "String" && m.group(3) == "Locale")
+    }.map(_.matched).toSeq
+    val folds = "\\.\\s*to(Lower|Upper)Case\\b(?!\\s*\\(\\s*[^)\\s])".r.findAllIn(code).toSeq
+    (interpolators ++ formats ++ folds).distinct
+  }
+
+  /** Fails naming each Scala source file under `dir` in which `hits` finds something. */
+  private def assertNone(dir: Path)(hits: String => Seq[String]): Unit = {
     assert(Files.isDirectory(dir), s"$dir not found from ${Paths.get("").toAbsolutePath}")
     val walk = Files.walk(dir)
     val files = try walk.iterator.asScala.filter(_.toString.endsWith(".scala")).toList finally walk.close()
-    assert(files.nonEmpty, s"no sources under repro.$layer")
+    assert(files.nonEmpty, s"no sources under $dir")
     val offenders = files.flatMap { f =>
       val hit = hits(new String(Files.readAllBytes(f), "UTF-8"))
       if (hit.isEmpty) None else Some(s"$f: ${hit.mkString(", ")}")
@@ -89,11 +105,30 @@ class LayeringSpec extends AnyFunSuite {
     assert(sparkNames("import org.apache.commons.io.FileUtils\nimport org.apache.sparkle.X").isEmpty)
   }
 
-  test("repro.search names no Spark Dataset or DataFrame")(assertNone("search")(sparkTables))
+  test("the locale guard sees default-locale formatting and case folding, not comments") {
+    assert(localeCalls("val s = f\"$x%.2f\"") == Seq("f\""))
+    assert(localeCalls("log.info(f\"${n}%d rows\" + s\"done\")") == Seq("f\""))
+    assert(localeCalls("\"%.2f\".format(x)").nonEmpty)
+    assert(localeCalls("\"%.2f\".formatted(x)").nonEmpty)
+    assert(localeCalls("String.format(\"%d\", n)").nonEmpty)
+    assert(localeCalls("java.lang.String.format(Locale.ROOT, \"%d\", n)").isEmpty)
+    assert(localeCalls("Text.format(\"%.1f\", v) + repro.lake.Text.format(\"%d\", n)").isEmpty)
+    assert(localeCalls("names.map(_.toLowerCase)").nonEmpty)
+    assert(localeCalls("s.toUpperCase()").nonEmpty)
+    assert(localeCalls("s.toLowerCase(Locale.ROOT) + t.toUpperCase( Locale.ROOT )").isEmpty)
+    assert(localeCalls("val golf = Seq(\"golf\", \"%.2f\", \"%f\", s\"$f\")").isEmpty)
+    assert(localeCalls("/** Not `f\"$x%.2f\"` nor \"x\".format(y). */\nval n = 1 // s.toLowerCase").isEmpty)
+  }
+
+  test("repro.search names no Spark Dataset or DataFrame")(assertNone(root.resolve("search"))(sparkTables))
 
   for (layer <- Seq("lake", "nn"))
-    test(s"repro.$layer names nothing from org.apache.spark")(assertNone(layer)(sparkNames))
+    test(s"repro.$layer names nothing from org.apache.spark")(assertNone(root.resolve(layer))(sparkNames))
 
   for ((layer, banned) <- forbidden)
-    test(s"repro.$layer uses nothing from ${banned.map("repro." + _).mkString(", ")}")(assertNone(layer)(uses(_, banned)))
+    test(s"repro.$layer uses nothing from ${banned.map("repro." + _).mkString(", ")}")(
+      assertNone(root.resolve(layer))(uses(_, banned)))
+
+  for (dir <- Seq(Paths.get("src", "main"), Paths.get("jobs")))
+    test(s"$dir formats and folds case only through repro.lake.Text")(assertNone(dir)(localeCalls))
 }

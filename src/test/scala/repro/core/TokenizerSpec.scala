@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Locale
+
 import org.scalacheck.Prop
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -50,11 +52,11 @@ class TokenizerSpec extends AnyFunSuite {
     assert(Tokenizer.tokenize("\u212Aelvin") == Seq("kelvin"))
   }
 
-  /** The split that the scan replaces: lowercase, then split on runs of
-    * characters other than ASCII letters and digits.
+  /** The split that the scan replaces: lowercase (`Locale.ROOT`), then
+    * split on runs of characters other than ASCII letters and digits.
     */
   private def oracle(s: String): Seq[String] =
-    if (s == null) Seq.empty else s.toLowerCase.split("[^\\p{Alnum}]+").filter(_.nonEmpty).toSeq
+    if (s == null) Seq.empty else s.toLowerCase(Locale.ROOT).split("[^\\p{Alnum}]+").filter(_.nonEmpty).toSeq
 
   test("tokenize equals lowercasing and String.split on non-alphanumerics") {
     PropCheck.check(Prop.forAllNoShrink(PropCheck.awkwardString) { s =>

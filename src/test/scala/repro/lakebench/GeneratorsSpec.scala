@@ -2,7 +2,7 @@ package repro.lakebench
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.lake.LakeTable
+import repro.lake.{LakeTable, Text}
 
 /** Shared invariants for every LakeBench generator. Generators are scaled
   * down here (small corpora) so the suite stays fast; the bench project
@@ -36,16 +36,17 @@ class GeneratorsSpec extends AnyFunSuite {
     }
   }
 
-  private lazy val tus = TusSantos.generate(seed = 5, perSeed = 6, nPairs = 300)
-  private lazy val lake = WikiLake.generate(seed = 5, nClasses = 8, entitiesPerClass = 120,
-                                            schemasPerClass = 4, tablesPerSchema = 3)
-  private lazy val wikiUnion = WikiUnion.generate(lake, seed = 5, nPairs = 300)
-  private lazy val wikiJac = WikiJoin.generateJaccard(lake, seed = 5, nPairs = 200)
-  private lazy val wikiCon = WikiJoin.generateContainment(lake, seed = 5, nPairs = 200)
-  private lazy val ecbUnion = EcbUnion.generate(seed = 5, nDatasets = 4, nPairs = 250)
-  private lazy val ecbJoin = EcbJoin.generate(seed = 5, nDatasets = 12)
-  private lazy val spider = SpiderOpenData.generate(seed = 5, nBaseTables = 30)
-  private lazy val ckan = CkanSubset.generate(seed = 5, nBaseTables = 25)
+  import GeneratorsSpec.Small
+
+  private lazy val tus = Small.tus()
+  private lazy val lake = Small.wikiLake()
+  private lazy val wikiUnion = Small.wikiUnion(lake)
+  private lazy val wikiJac = Small.wikiJaccard(lake)
+  private lazy val wikiCon = Small.wikiContainment(lake)
+  private lazy val ecbUnion = Small.ecbUnion()
+  private lazy val ecbJoin = Small.ecbJoin()
+  private lazy val spider = Small.spider()
+  private lazy val ckan = Small.ckan()
 
   test("TUS-SANTOS invariants")       { checkInvariants(tus) }
   test("Wiki Union invariants")       { checkInvariants(wikiUnion) }
@@ -190,6 +191,12 @@ class GeneratorsSpec extends AnyFunSuite {
     }
   }
 
+  test("CKAN float cells are the Locale.ROOT-formatted values") {
+    // Measures are clipped to [base - 3, base + 11] with base in 5..44.
+    for (v <- 0 to 1000; half <- Seq(false, true))
+      assert(CkanSubset.floatCell(v, half) == Text.format("%.1f", v + (if (half) 0.5 else 0.0)), s"$v $half")
+  }
+
   test("CKAN Subset positive and negative partners have equal row counts") {
     // Pairs come in (pos, neg) bundles sharing the same Si.
     val bySubset = ckan.allPairs.groupBy(_.t1)
@@ -286,7 +293,30 @@ class GeneratorsSpec extends AnyFunSuite {
   }
 
   test("generators are deterministic in their seed") {
-    val again = TusSantos.generate(seed = 5, perSeed = 6, nPairs = 300)
+    val again = Small.tus()
     assert(again.train.map(p => (p.t1, p.t2, p.label(0))) == tus.train.map(p => (p.t1, p.t2, p.label(0))))
+  }
+}
+
+object GeneratorsSpec {
+
+  /** Each generator at the small size these tests use. */
+  object Small {
+    def tus(): Benchmark = TusSantos.generate(seed = 5, perSeed = 6, nPairs = 300)
+    def wikiLake(): WikiLake.Lake =
+      WikiLake.generate(seed = 5, nClasses = 8, entitiesPerClass = 120, schemasPerClass = 4, tablesPerSchema = 3)
+    def wikiUnion(lake: WikiLake.Lake): Benchmark = WikiUnion.generate(lake, seed = 5, nPairs = 300)
+    def wikiJaccard(lake: WikiLake.Lake): Benchmark = WikiJoin.generateJaccard(lake, seed = 5, nPairs = 200)
+    def wikiContainment(lake: WikiLake.Lake): Benchmark = WikiJoin.generateContainment(lake, seed = 5, nPairs = 200)
+    def ecbUnion(): Benchmark = EcbUnion.generate(seed = 5, nDatasets = 4, nPairs = 250)
+    def ecbJoin(): Benchmark = EcbJoin.generate(seed = 5, nDatasets = 12)
+    def spider(): Benchmark = SpiderOpenData.generate(seed = 5, nBaseTables = 30)
+    def ckan(): Benchmark = CkanSubset.generate(seed = 5, nBaseTables = 25)
+
+    /** All eight, in Table 2 order; the three Wiki tasks share one lake. */
+    def suite(): Seq[Benchmark] = {
+      val lake = wikiLake()
+      Seq(tus(), wikiUnion(lake), ecbUnion(), wikiJaccard(lake), wikiContainment(lake), spider(), ecbJoin(), ckan())
+    }
   }
 }

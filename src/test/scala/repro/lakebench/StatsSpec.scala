@@ -4,23 +4,31 @@ import repro.{Oracle, SparkSpec}
 import repro.lake.LakeTable
 import repro.report.Reports
 
-class StatsSpec extends SparkSpec {
+object StatsSpec {
 
   private def benchmark(name: String, tables: LakeTable*): Benchmark =
     Benchmark(name, BinaryTask, tables.map(t => t.id -> t).toMap,
       Seq(PairExample(tables.head.id, tables.last.id, Array(0.0))), Seq.empty, Seq.empty)
 
-  private lazy val tiny = benchmark("Tiny",
+  lazy val tiny: Benchmark = benchmark("Tiny",
     LakeTable("x.csv", "", Seq("s", "i"), Seq(Seq("a", "1"), Seq("b", "2"))),
     LakeTable("y.csv", "", Seq("f", "d", "s2"), Seq(Seq("1.5", "2020-01-01", "p"), Seq("2.5", "2020-02-01", "q"))))
 
   // 3 tables, 7 rows, 6 columns: 2 string, 2 int, 1 float, 1 date.
-  private lazy val small = benchmark("Small",
+  lazy val small: Benchmark = benchmark("Small",
     LakeTable("a.csv", "", Seq("s"), Seq(Seq("x"))),
     LakeTable("b.csv", "", Seq("i", "f"), Seq(Seq("1", "0.5"), Seq("2", "1.5"))),
     LakeTable("c.csv", "", Seq("s", "d", "i"), (1 to 4).map(i => Seq(s"v$i", s"2021-0$i-01", i.toString))))
 
-  private lazy val wee = benchmark("Wee", LakeTable("w.csv", "", Seq("i"), Seq(Seq("7"))))
+  lazy val wee: Benchmark = benchmark("Wee", LakeTable("w.csv", "", Seq("i"), Seq(Seq("7"))))
+
+  // 2 tables, 3 rows, no column at all.
+  lazy val empty: Benchmark = benchmark("Empty",
+    LakeTable("e.csv", "", Seq.empty, Seq(Seq.empty, Seq.empty)), LakeTable("o.csv", "", Seq.empty, Seq(Seq.empty)))
+}
+
+class StatsSpec extends SparkSpec {
+  import StatsSpec._
 
   private def metas(bs: Benchmark*): Seq[Stats.TableMeta] =
     for (b <- bs; t <- b.tables.values.toSeq) yield Stats.meta(b.name, t)
@@ -43,11 +51,12 @@ class StatsSpec extends SparkSpec {
 
   test("aggregation agrees with the DuckDB oracle") {
     import spark.implicits._
-    val ms = metas(tiny, small)
+    val ms = metas(tiny, small, empty)
     // The oracle loads every column as VARCHAR.
     val pcts = Seq("nString" -> "pct_string", "nInt" -> "pct_int", "nFloat" -> "pct_float", "nDate" -> "pct_date")
       .map { case (n, alias) =>
-        s"round(CAST(sum(CAST($n AS BIGINT)) AS DOUBLE) * 100.0 / sum(CAST(cols AS BIGINT)), 2) AS $alias"
+        s"CASE WHEN sum(CAST(cols AS BIGINT)) = 0 THEN 0.0 " +
+          s"ELSE round(CAST(sum(CAST($n AS BIGINT)) AS DOUBLE) * 100.0 / sum(CAST(cols AS BIGINT)), 2) END AS $alias"
       }
     Oracle.assertEquivalent(
       Stats.aggregate(spark, ms),
@@ -61,6 +70,11 @@ class StatsSpec extends SparkSpec {
     assert(lines.map(_.takeWhile(_ != ' ')) == Seq("Benchmark", "Small", "Tiny"))
     assert(lines.forall(_.split('|').length == 11))
     assert(lines(1).endsWith("|  33.33 | 33.33 | 16.67 | 16.67"))
+  }
+
+  test("table1 prints 0.00 type shares for a benchmark whose tables have no column") {
+    assert(Stats.table1(spark, Seq(empty))(1) ==
+      "Empty             |        2 |      1.50 |     0.00 |      1 |     0 |     0 |   0.00 |  0.00 |  0.00 |  0.00")
   }
 
   test("table1 runs as many Spark jobs for three benchmarks as for one") {

@@ -2,7 +2,7 @@ package repro.models
 
 import repro.SparkSpec
 import repro.core.TableSketcher
-import repro.lake.LakeTable
+import repro.lake.{LakeTable, Text}
 
 /** Pins the exact bits of every pair featurizer's vectors on a few fixed
   * table pairs, so a rewrite of the shared feature code must keep every
@@ -27,7 +27,7 @@ class PairFeatureBitsSpec extends SparkSpec {
     */
   private val caseA = LakeTable("case_a.csv", "", Seq("Code", "code", "Value", "Label"),
     rows(25)(i => Seq(s"C$i", if (i % 5 == 0) null else s"c${i % 9}",
-                      if (i % 4 == 0) "n/a" else f"${i * 1.25}%.2f", if (i % 3 == 0) " " else s"label ${i % 6}")))
+                      if (i % 4 == 0) "n/a" else Text.format("%.2f", i * 1.25), if (i % 3 == 0) " " else s"label ${i % 6}")))
   private val caseB = LakeTable("case_b.csv", "codes and values", Seq("CODE", "value", "Unit"),
     rows(18)(i => Seq(s"C${i * 2}", (i * 3).toString, if (i % 2 == 0) "kg" else null)))
 

@@ -2,14 +2,14 @@ package repro.models
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.lake.LakeTable
+import repro.lake.{LakeTable, Text}
 
 class ValueFeaturizerSpec extends AnyFunSuite {
   import ValueFeaturizer._
 
   private val t = LakeTable("t", "series data",
     Seq("area", "value"),
-    (1 to 100).map(i => Seq(s"zone ${i % 7}", f"${i * 1.5}%.1f")))
+    (1 to 100).map(i => Seq(s"zone ${i % 7}", Text.format("%.1f", i * 1.5))))
 
   test("unbudgeted view sees every row") {
     val v = view(t, Budget(Int.MaxValue, Int.MaxValue, 0))
