@@ -13,12 +13,15 @@ object Similarity {
     math.min(1.0, math.abs(u - v) / math.max(math.abs(u), math.max(math.abs(v), 1e-9)))
 
   /** Length of the intersection of [lo1, hi1] and [lo2, hi2] over the length
-    * of their hull; 1 when the hull is a single point.
+    * of their hull; 1 when the hull is a single point. Both lengths are
+    * halved only when the hull overflows (ends near ±1.7e308).
     */
   def rangeOverlap(lo1: Double, hi1: Double, lo2: Double, hi2: Double): Double = {
     val lo = math.max(lo1, lo2); val hi = math.min(hi1, hi2)
     val ulo = math.min(lo1, lo2); val uhi = math.max(hi1, hi2)
-    if (uhi - ulo <= 0) 1.0 else math.max(0.0, hi - lo) / (uhi - ulo)
+    if (uhi - ulo <= 0) 1.0
+    else if ((uhi - ulo).isFinite) math.max(0.0, hi - lo) / (uhi - ulo)
+    else math.max(0.0, hi / 2 - lo / 2) / (uhi / 2 - ulo / 2)
   }
 
   /** For each x, its best score against any y (0 when ys is empty). */

@@ -43,32 +43,31 @@ object NumericalSketch {
 
   val empty: Array[Double] = Array.fill(Size)(Double.NaN)
 
-  /** Stats + percentile sketch over parsed numeric values.
-    *
-    * Finite values can still overflow the sum or the sum of squared
-    * deviations (three values near 1e308); an overflowing sum makes the
-    * second one infinite too. When that is not finite and every value is,
-    * the overflowing sums are taken again over the values divided by
-    * `max |v|` and scaled back, so the mean and std stay finite (Higham,
-    * *Accuracy and Stability of Numerical Algorithms*, ch. 4). Otherwise
-    * the plain sums are kept, with their bits.
+  /** The mean, `sum / n`; when finite values overflow the sum (three near
+    * 1e308), the sum is taken over the values divided by `max |v|` and scaled
+    * back (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4).
+    */
+  def mean(values: Seq[Double]): Double = {
+    val sum = values.sum
+    lazy val scale = maxAbs(values)
+    if (sum.isFinite || !scale.isFinite) sum / values.length else values.map(_ / scale).sum / values.length * scale
+  }
+
+  private def maxAbs(values: Seq[Double]): Double = values.foldLeft(0.0)((m, v) => math.max(m, math.abs(v)))
+
+  /** Stats + percentile sketch over parsed numeric values. The squared
+    * deviations from `mean` are rescaled like `mean`'s sum when they overflow.
     */
   def of(values: Seq[Double]): Array[Double] = {
     if (values.isEmpty) return empty
     val n      = values.length
     val sorted = values.sorted
-    val sum    = values.sum
-    var mean   = sum / n
+    val mean   = NumericalSketch.mean(values)
     val sq     = values.map(v => (v - mean) * (v - mean)).sum
-    var std    = math.sqrt(sq / n)
-    if (!sq.isFinite) {
-      val scale = values.foldLeft(0.0)((m, v) => math.max(m, math.abs(v)))
-      if (scale.isFinite) {
-        if (!sum.isFinite) mean = values.map(_ / scale).sum / n * scale
-        val m = mean / scale
-        std = math.sqrt(values.map { v => val d = v / scale - m; d * d }.sum / n) * scale
-      }
-    }
+    lazy val scale = maxAbs(values)
+    val std =
+      if (sq.isFinite || !scale.isFinite) math.sqrt(sq / n)
+      else math.sqrt(values.map { v => val d = v / scale - mean / scale; d * d }.sum / n) * scale
     def pct(p: Double): Double = sorted(math.min(n - 1, math.max(0, (p * (n - 1)).round.toInt)))
     Array(mean, std, sorted.head, sorted.last,
           pct(0.10), pct(0.25), pct(0.50), pct(0.75), pct(0.90))

@@ -1,6 +1,6 @@
 package repro.models
 
-import repro.core.{Tokenizer, TypeInference}
+import repro.core.{NumericalSketch, Tokenizer, TypeInference}
 import repro.core.Similarity.{bestMatch, cosine, fracAbove, max, rangeOverlap, relDiff, topMean}
 import repro.lake.LakeTable
 import repro.nn.Metrics.mean
@@ -110,15 +110,12 @@ object ValueFeaturizer {
     val colStats = (0 until cols).map { i =>
       val vs = colVals(i).result()
       if (vs.isEmpty) Array(Double.NaN, Double.NaN, Double.NaN)
-      else Array(vs.sum / vs.size, vs.min, vs.max)
+      else Array(NumericalSketch.mean(vs), vs.min, vs.max)
     }
     ValueView(header, colBags, tableBag,
               colBags.map(columnEmbedder.embedCounts), columnEmbedder.embedCounts(tableBag),
               colStats)
   }
-
-  val ValueDim: Int = 6 + SharedSlots
-  val NumDim         = 3
 
   /** Mean-pooled value-similarity features: cosines between JL-projected
     * per-column bag embeddings, both directions. The random projection is
@@ -131,8 +128,7 @@ object ValueFeaturizer {
   def valueFeatures(a: ValueView, b: ValueView): Array[Double] = {
     val cos = bestMatch(a.colEmbs, b.colEmbs)(cosine) ++ bestMatch(b.colEmbs, a.colEmbs)(cosine)
     val slots = maxSlots(sharedNames(a.header, b.header)) { n =>
-      val (ia, ib) = (a.header.names.indexOf(n), b.header.names.indexOf(n))
-      if (ia >= 0 && ib >= 0) Some(cosine(a.colEmbs(ia), b.colEmbs(ib))) else None
+      Some(cosine(a.colEmbs(a.header.names.indexOf(n)), b.colEmbs(b.header.names.indexOf(n))))
     }
     Array(
       cosine(a.tableEmb, b.tableEmb), max(cos), mean(cos), topMean(cos, 3), fracAbove(cos, 0.8), fracAbove(cos, 0.5),

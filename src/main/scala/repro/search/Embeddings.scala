@@ -1,6 +1,6 @@
 package repro.search
 
-import repro.core.{ColumnSketch, MinHash, TableSketch, Tokenizer}
+import repro.core.{ColumnSketch, MinHash, Parallel, TableSketch, Tokenizer}
 import repro.lake.LakeTable
 import repro.nn.RandomProjection
 
@@ -20,6 +20,15 @@ object Embeddings {
 
   /** Fixed sentence-embedder stand-in (all-MiniLM analogue, DESIGN.md). */
   val valueEmbedder = new RandomProjection(dim = 48, buckets = 512, seed = 4242)
+
+  /** A column's value embedding: its first 100 values, tokenized and projected. */
+  def valueEmbedding(values: Seq[String]): Array[Double] =
+    valueEmbedder.embed(values.iterator.take(100).flatMap(Tokenizer.tokenize))
+
+  /** `embed(t, i)` for every column `i` of every lake table `t`, one table per task on the `Parallel` pool. */
+  def lakeColumns(tables: Map[String, LakeTable])
+                 (embed: (LakeTable, Int) => Array[Double]): Map[String, Seq[Array[Double]]] =
+    Parallel.map(tables.toSeq) { case (id, t) => id -> t.columnNames.indices.map(embed(t, _)) }.toMap
 
   /** Writes the ±1 sign of each of the first `k` slots, times `weight` over
     * √k, at `out(at)`; an empty signature leaves the block zero. Returns
@@ -118,7 +127,7 @@ object Embeddings {
     at = unitBlock(valueEmbedder.embed(Tokenizer.tokenize(c.name)), 0.4, out, at)
     System.arraycopy(context, 0, out, at, context.length)
     at += context.length
-    unitBlock(valueEmbedder.embed(values.iterator.take(100).flatMap(Tokenizer.tokenize)), 0.9, out, at)
+    unitBlock(valueEmbedding(values), 0.9, out, at)
     normalize(out, 0, out.length)
     out
   }

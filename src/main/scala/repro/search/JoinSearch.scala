@@ -4,7 +4,7 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{MinHash, Parallel, Similarity, TableSketch, Tokenizer}
+import repro.core.{MinHash, Parallel, Similarity, TableSketch}
 import repro.lake.LakeTable
 import repro.lakebench.WikiLake
 
@@ -72,17 +72,16 @@ object JoinSearch {
     * to keep between calls; JOSIE's posting lists pay off only for a caller
     * that keeps them across calls.
     */
-  def searchJosie(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val lake = tables.toSeq
+  def searchJosie(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] =
     queries.map { case (qt, qc) =>
       val qSet = tables(qt).values(qc).toSet
       // Missing cells are never in qSet, so they are never counted.
-      val overlaps = Parallel.map(lake.filter { case (id, t) => id != qt && t.numCols > 0 }) { case (id, t) =>
-        id -> (0 until t.numCols).map(i => t.rows.iterator.map(_(i)).filter(qSet).toSet.size).max.toDouble
+      qt -> Ranking.lake(tables.keys, qt, k) { c =>
+        val t = tables(c)
+        (0 until t.numCols).map(i => t.rows.iterator.map(_(i)).filter(qSet).toSet.size).maxOption
+          .filter(_ > 0).map(_.toDouble)
       }
-      qt -> Ranking.top(overlaps.filter(_._2 > 0), k)
     }.toMap
-  }
 
   /** LSHForest-lite: candidates sharing a MinHash band of 4 slots with the
     * query column, ranked by the estimated Jaccard of the table's
@@ -96,15 +95,12 @@ object JoinSearch {
     */
   def searchLsh(sketches: Map[String, TableSketch], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
     val rowsPerBand = 4
-    val lake = sketches.values.toSeq
     queries.map { case (qt, qc) =>
       val qSig = sketches(qt).columns(qc).valueMinHash
       val qBands = MinHash.bandKeys(qSig, rowsPerBand).toSet
-      val best = Parallel.map(lake.filter(_.tableId != qt)) { s =>
-        s.columns.filter(c => MinHash.bandKeys(c.valueMinHash, rowsPerBand).exists(qBands))
-          .map(c => MinHash.jaccard(qSig, c.valueMinHash)).maxOption.map(s.tableId -> _)
-      }.flatten
-      qt -> Ranking.top(best, k)
+      qt -> Ranking.lake(sketches.keys, qt, k)(c =>
+        sketches(c).columns.filter(col => MinHash.bandKeys(col.valueMinHash, rowsPerBand).exists(qBands))
+          .map(col => MinHash.jaccard(qSig, col.valueMinHash)).maxOption)
     }.toMap
   }
 
@@ -112,14 +108,10 @@ object JoinSearch {
     * with no columns are never candidates.
     */
   def searchEmbedJoin(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val embs: Map[String, Seq[Array[Double]]] = Parallel.map(tables.toSeq) { case (id, t) =>
-      id -> t.columnNames.indices.map { i =>
-        Embeddings.valueEmbedder.embed(t.values(i).iterator.take(100).flatMap(Tokenizer.tokenize))
-      }
-    }.toMap
+    val embs = Embeddings.lakeColumns(tables)((t, i) => Embeddings.valueEmbedding(t.values(i)))
     queries.map { case (qt, qc) =>
       val q = embs(qt)(qc)
-      qt -> Ranking.lake(tables.keys, qt, k)(embs(_).nonEmpty)(c => embs(c).map(Similarity.cosine(q, _)).max)
+      qt -> Ranking.lake(tables.keys, qt, k)(c => embs(c).map(Similarity.cosine(q, _)).maxOption)
     }.toMap
   }
 

@@ -1,5 +1,7 @@
 package repro.search
 
+import repro.core.Parallel
+
 /** The ranking every search method ends with. */
 private[search] object Ranking {
 
@@ -7,8 +9,9 @@ private[search] object Ranking {
   def top(scored: Iterable[(String, Double)], k: Int): Seq[String] =
     scored.toSeq.sortBy { case (id, s) => (-s, id) }.take(k).map(_._1)
 
-  /** Ranks the lake tables other than `query` that have a column. */
-  def lake(ids: Iterable[String], query: String, k: Int)(hasColumns: String => Boolean)
-          (score: String => Double): Seq[String] =
-    top(ids.filter(c => c != query && hasColumns(c)).map(c => c -> score(c)), k)
+  /** Ranks the lake tables other than `query` by `score`, computed on the
+    * `Parallel` pool; a table scored `None` is not a candidate.
+    */
+  def lake(ids: Iterable[String], query: String, k: Int)(score: String => Option[Double]): Seq[String] =
+    top(Parallel.map(ids.filter(_ != query).toSeq)(id => score(id).map(id -> _)).flatten, k)
 }

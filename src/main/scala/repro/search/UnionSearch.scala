@@ -25,8 +25,8 @@ object UnionSearch {
                        queries: Seq[String], k: Int): Map[String, Seq[String]] = {
     val embs = Parallel.map(tables.keys.toSeq)(id =>
       id -> Embeddings.table(sketches(id), tables(id))).toMap
-    queries.map(q => q -> Ranking.lake(tables.keys, q, k)(tables(_).numCols > 0)(c =>
-      Similarity.cosine(embs(q), embs(c)))).toMap
+    queries.map(q => q -> Ranking.lake(tables.keys, q, k)(c =>
+      Option.when(tables(c).numCols > 0)(Similarity.cosine(embs(q), embs(c))))).toMap
   }
 
   /** Rank the lake for each query by the mean, over the query's columns,
@@ -35,15 +35,15 @@ object UnionSearch {
   private def searchByColumns(sketches: Map[String, TableSketch], queries: Seq[String], k: Int)
                              (colScore: (ColumnSketch, ColumnSketch) => Double): Map[String, Seq[String]] =
     queries.map { q =>
-      q -> Ranking.lake(sketches.keys, q, k)(sketches(_).columns.nonEmpty)(c =>
-        Metrics.mean(bestMatch(sketches(q).columns, sketches(c).columns)(colScore)))
+      q -> Ranking.lake(sketches.keys, q, k)(c => Option.when(sketches(c).columns.nonEmpty)(
+        Metrics.mean(bestMatch(sketches(q).columns, sketches(c).columns)(colScore))))
     }.toMap
 
   private def headerJaccard(a: ColumnSketch, b: ColumnSketch): Double =
     Tokenizer.jaccard(Tokenizer.tokenize(a.name).toSet, Tokenizer.tokenize(b.name).toSet)
 
   private def tokenJaccard(a: ColumnSketch, b: ColumnSketch): Double =
-    if (a.tokenMinHash.nonEmpty && b.tokenMinHash.nonEmpty) MinHash.jaccard(a.tokenMinHash, b.tokenMinHash) else 0.0
+    MinHash.jaccard(a.tokenMinHash, b.tokenMinHash)
 
   /** D3L-lite: average of five evidence types over best-aligned columns. */
   def searchD3L(sketches: Map[String, TableSketch], queries: Seq[String], k: Int): Map[String, Seq[String]] =
@@ -67,13 +67,8 @@ object UnionSearch {
     * embeddings; table score = mean matched cosine scaled by coverage.
     */
   def searchStarmie(tables: Map[String, LakeTable], queries: Seq[String], k: Int): Map[String, Seq[String]] = {
-    val embs: Map[String, Seq[Array[Double]]] = Parallel.map(tables.toSeq) { case (id, t) =>
-      id -> t.columnNames.indices.map { i =>
-        Embeddings.valueEmbedder.embed(
-          Tokenizer.tokenize(t.columnNames(i)).iterator ++
-          t.values(i).iterator.take(60).flatMap(Tokenizer.tokenize))
-      }
-    }.toMap
+    val embs = Embeddings.lakeColumns(tables)((t, i) => Embeddings.valueEmbedder.embed(
+      Tokenizer.tokenize(t.columnNames(i)).iterator ++ t.values(i).iterator.take(60).flatMap(Tokenizer.tokenize)))
     def tableScore(a: Seq[Array[Double]], b: Seq[Array[Double]]): Double = {
       val edges = (for { (ea, i) <- a.zipWithIndex; (eb, j) <- b.zipWithIndex }
         yield (i, j, Similarity.cosine(ea, eb))).sortBy(-_._3)
@@ -85,6 +80,7 @@ object UnionSearch {
       }
       total / math.max(a.size, 1)
     }
-    queries.map(q => q -> Ranking.lake(tables.keys, q, k)(embs(_).nonEmpty)(c => tableScore(embs(q), embs(c)))).toMap
+    queries.map(q => q -> Ranking.lake(tables.keys, q, k)(c =>
+      Option.when(embs(c).nonEmpty)(tableScore(embs(q), embs(c))))).toMap
   }
 }

@@ -14,7 +14,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * so its indexes stay plain driver-side values, and `lake` and `nn` name
   * nothing from `org.apache.spark`. No main source, and nothing in `jobs/`,
   * formats text or folds case with the JVM's default locale: those calls
-  * go through `repro.lake.Text`, which uses `Locale.ROOT`.
+  * go through `repro.lake.Text`, which uses `Locale.ROOT`. No main source
+  * reads an environment variable or a system property, and `jobs/` reads
+  * only `SPARK_MASTER`, the deployment's Spark master.
   */
 class LayeringSpec extends AnyFunSuite {
 
@@ -68,6 +70,18 @@ class LayeringSpec extends AnyFunSuite {
     (interpolators ++ formats ++ folds).distinct
   }
 
+  /** The environment variables and system properties that `src` reads
+    * outside its comments, through `sys.env`, `sys.props`, `System.getenv`
+    * or `System.getProperty`, except reads of an environment variable named
+    * in `allowed`.
+    */
+  private def settingReads(src: String, allowed: Set[String] = Set.empty): Seq[String] =
+    ("\\b(?:sys\\s*\\.\\s*(env|props)\\b(?:\\s*\\.\\s*\\w+)?" +
+     "|System\\s*\\.\\s*(getenv|getProperty|getProperties)\\b)(?:\\s*\\(\\s*\"([^\"]*)\")?").r
+      .findAllMatchIn(withoutComments(src)).filterNot { m =>
+        (m.group(1) == "env" || m.group(2) == "getenv") && m.group(3) != null && allowed(m.group(3))
+      }.map(_.matched).toSeq.distinct
+
   /** Fails naming each Scala source file under `dir` in which `hits` finds something. */
   private def assertNone(dir: Path)(hits: String => Seq[String]): Unit = {
     assert(Files.isDirectory(dir), s"$dir not found from ${Paths.get("").toAbsolutePath}")
@@ -119,6 +133,26 @@ class LayeringSpec extends AnyFunSuite {
     assert(localeCalls("val golf = Seq(\"golf\", \"%.2f\", \"%f\", s\"$f\")").isEmpty)
     assert(localeCalls("/** Not `f\"$x%.2f\"` nor \"x\".format(y). */\nval n = 1 // s.toLowerCase").isEmpty)
   }
+
+  test("the settings guard sees environment and property reads, not comments") {
+    val master = "sys.env.getOrElse(\"SPARK_MASTER\", \"local[*]\")"
+    assert(settingReads(master).nonEmpty)
+    assert(settingReads(master, Set("SPARK_MASTER")).isEmpty)
+    assert(settingReads("sys.env(\"SPARK_MASTER\")", Set("SPARK_MASTER")).isEmpty)
+    assert(settingReads("sys.env.get(\"SPARK_SHUFFLE_PARTITIONS\")", Set("SPARK_MASTER")).nonEmpty)
+    assert(settingReads("sys.props(\"SPARK_MASTER\")", Set("SPARK_MASTER")).nonEmpty)
+    assert(settingReads("val e = scala.sys.env").nonEmpty)
+    assert(settingReads("System.getenv(\"HOME\") + System.getenv()").size == 2)
+    assert(settingReads("sys.props.get(\"user.dir\")").nonEmpty)
+    assert(settingReads("System.getProperty(\"java.home\")").nonEmpty)
+    assert(settingReads("System . getProperties").nonEmpty)
+    assert(settingReads("/** Reads no sys.env. */\nval environment = mysys.envs // System.getenv(\"X\")").isEmpty)
+  }
+
+  test("src/main reads no environment variable or system property")(
+    assertNone(Paths.get("src", "main"))(settingReads(_)))
+
+  test("jobs reads no setting but SPARK_MASTER")(assertNone(Paths.get("jobs"))(settingReads(_, Set("SPARK_MASTER"))))
 
   test("repro.search names no Spark Dataset or DataFrame")(assertNone(root.resolve("search"))(sparkTables))
 

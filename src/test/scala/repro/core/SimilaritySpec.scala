@@ -17,6 +17,39 @@ class SimilaritySpec extends AnyFunSuite {
     assert(rangeOverlap(0.0, 4.0, 1.0, 2.0) == 0.25)
   }
 
+  test("rangeOverlap over ranges whose hull is wider than Double.MaxValue is finite") {
+    assert(rangeOverlap(-1.7e308, 1.7e308, -1.7e308, 1.7e308) == 1.0)
+    assert(rangeOverlap(-1.7e308, 0.0, 0.0, 1.7e308) == 0.0)
+    assert(math.abs(rangeOverlap(-1.7e308, 1.0e308, -1.0e308, 1.7e308) - 1 / 1.7) < 1e-15)
+  }
+
+  test("rangeOverlap keeps the plain ratio's bits on a finite hull and is exact to 1e-15 on a wider one") {
+    def plain(lo1: Double, hi1: Double, lo2: Double, hi2: Double): Double = {
+      val lo = math.max(lo1, lo2); val hi = math.min(hi1, hi2)
+      val ulo = math.min(lo1, lo2); val uhi = math.max(hi1, hi2)
+      if (uhi - ulo <= 0) 1.0 else math.max(0.0, hi - lo) / (uhi - ulo)
+    }
+    val end = Gen.frequency(
+      4 -> Gen.choose(-1e6, 1e6),
+      2 -> Gen.choose(-Double.MaxValue, Double.MaxValue),
+      1 -> Gen.oneOf(0.0, -0.0, 1.0, 1e308, -1e308, Double.MaxValue, -Double.MaxValue, Double.MinPositiveValue))
+    val range = for (a <- end; b <- end) yield (math.min(a, b), math.max(a, b))
+    // Overflowing hulls whose ranges overlap, checked against exact arithmetic.
+    var wide = 0
+    PropCheck.check(Prop.forAllNoShrink(range, range) { case ((lo1, hi1), (lo2, hi2)) =>
+      val got = rangeOverlap(lo1, hi1, lo2, hi2)
+      if ((math.max(hi1, hi2) - math.min(lo1, lo2)).isFinite)
+        java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(plain(lo1, hi1, lo2, hi2))
+      else {
+        val inter = BigDecimal(math.min(hi1, hi2)) - BigDecimal(math.max(lo1, lo2))
+        if (inter > 0) wide += 1
+        val exact = inter.max(0) / (BigDecimal(math.max(hi1, hi2)) - BigDecimal(math.min(lo1, lo2)))
+        math.abs(got - exact.toDouble) < 1e-15
+      }
+    }, minSuccessful = 500)
+    assert(wide > 10, s"only $wide overflowing hulls had an overlap")
+  }
+
   test("relDiff is in [0, 1], symmetric, and 0 on equal inputs") {
     val value = Gen.frequency(
       4 -> Gen.choose(-1e6, 1e6),

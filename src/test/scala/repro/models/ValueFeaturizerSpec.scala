@@ -1,10 +1,11 @@
 package repro.models
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.{Gen, Prop}
 
+import repro.{PropCheck, SparkSpec}
 import repro.lake.{LakeTable, Text}
 
-class ValueFeaturizerSpec extends AnyFunSuite {
+class ValueFeaturizerSpec extends SparkSpec {
   import ValueFeaturizer._
 
   private val t = LakeTable("t", "series data",
@@ -57,7 +58,7 @@ class ValueFeaturizerSpec extends AnyFunSuite {
     val v = view(t, TaBertBudget)
     val f = valueFeatures(v, v)
     assert(math.abs(f(0) - 1.0) < 1e-9)
-    assert(f.length == ValueDim)
+    assert(f.length == 6 + PairFeatures.SharedSlots)
   }
 
   test("valueFeatures: disjoint values score low (within JL distortion)") {
@@ -79,13 +80,39 @@ class ValueFeaturizerSpec extends AnyFunSuite {
     val v = view(t, TaBertBudget)
     val f = numericFeatures(v, v)
     assert(f(0) == 1.0 && f(1) < 1e-9 && f(2) > 0.99)
-    assert(f.length == NumDim)
+    assert(f.length == 3)
   }
 
   test("numericFeatures: no numeric columns gives the neutral vector") {
     val s = LakeTable("s", "", Seq("w"), Seq(Seq("abc"), Seq("def")))
     val f = numericFeatures(view(s, TaBertBudget), view(t, TaBertBudget))
     assert(f.sameElements(Array(0.0, 1.0, 0.0)))
+  }
+
+  test("every colStats entry of a column of finite doubles is finite") {
+    val value = Gen.frequency(
+      4 -> Gen.choose(-1e6, 1e6),
+      2 -> Gen.choose(-Double.MaxValue, Double.MaxValue),
+      2 -> Gen.oneOf(1e308, 1.7e308, -1.7e308, Double.MaxValue, 4.9e-324, 0.0))
+    val column = Gen.choose(1, 12).flatMap(n => Gen.listOfN(n, value))
+    val table = Gen.choose(1, 3).flatMap(c => Gen.listOfN(c, column)).map { cols =>
+      val rows = cols.map(_.size).max
+      LakeTable("p.csv", "", cols.indices.map(i => s"c$i"),
+                (0 until rows).map(r => cols.map(col => if (r < col.size) col(r).toString else "")))
+    }
+    PropCheck.check(Prop.forAllNoShrink(table) { t =>
+      view(t, TaBertBudget).colStats.forall(_.forall(_.isFinite))
+    })
+  }
+
+  test("TUTA's pair vector is finite on columns whose sums and ranges overflow") {
+    val probe = LakeTable("probe.csv", "", Seq("v"), Seq(Seq("1e308"), Seq("1e308"), Seq("1.7e308")))
+    val negated = LakeTable("negated.csv", "", Seq("v"), Seq(Seq("-1e308"), Seq("-1e308"), Seq("-1.7e308")))
+    val pair = Baselines.tuta.prepare(spark, Map(probe.id -> probe, negated.id -> negated))
+    for ((a, b) <- Seq(probe -> probe, probe -> negated, negated -> probe)) {
+      val f = pair(a.id, b.id)
+      assert(f.forall(_.isFinite), s"${a.id} vs ${b.id}: ${f.mkString(", ")}")
+    }
   }
 
   test("budget presets match the baselines' documented windows") {
