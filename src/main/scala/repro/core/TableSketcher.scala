@@ -75,9 +75,9 @@ object NumericalSketch {
 }
 
 /** ``LakeTable -> TableSketch``: the paper's per-table preprocessing, as a
-  * pure function. `sketchCorpus` maps it over a driver-resident corpus on
-  * the [[Parallel]] pool; `sketchAll` maps it over a ``Dataset[LakeTable]``.
-  * Both paths run `sketch` itself, so a sketch means the same on each.
+  * pure function. Every sketch of a corpus comes from one map of `sketch`
+  * over its tables on the [[Parallel]] pool: `sketchCorpus` keys the
+  * sketches by table id, and `sketchAll` hands them to Spark.
   */
 object TableSketcher {
 
@@ -113,20 +113,19 @@ object TableSketcher {
                 minhash.signature(rowStrings), rowStrings.size.toLong)
   }
 
-  /** Sketches as a Spark `Dataset`: `sketch` mapped over a
-    * `Dataset[LakeTable]`, for callers that want the sketches in Spark
-    * (the Spark extension point of DESIGN §4). Every cell is encoded into
-    * Catalyst rows and shipped to the tasks, so a corpus that is already a
-    * driver map is cheaper to sketch with `sketchCorpus`.
+  /** The sketches of `tables` as a local Spark `Dataset`, in input order,
+    * computed by the same pool map as `sketchCorpus`. Only the finished
+    * sketches reach Spark's encoder; no Spark task runs program code.
     */
   def sketchAll(spark: SparkSession, tables: Seq[LakeTable]): Dataset[TableSketch] = {
     import spark.implicits._
-    spark.createDataset(tables).map(sketch _)
+    spark.createDataset(sketches(tables))
   }
 
-  /** The sketches of a driver-resident corpus by table id: `sketch` mapped
-    * over the tables on the driver's [[Parallel]] pool, with no Spark job.
-    */
+  /** The sketches of a driver-resident corpus by table id, with no Spark job. */
   def sketchCorpus(tables: Map[String, LakeTable]): Map[String, TableSketch] =
-    Parallel.map(tables.values.toSeq)(t => t.id -> sketch(t)).toMap
+    sketches(tables.values.toSeq).map(s => s.tableId -> s).toMap
+
+  /** `sketch` mapped over `tables` on the [[Parallel]] pool, in input order. */
+  private def sketches(tables: Seq[LakeTable]): Seq[TableSketch] = Parallel.map(tables)(sketch)
 }

@@ -20,10 +20,10 @@ object TypeInference {
   /** Days-since-epoch-ish timestamp for a date-looking value; None if the
     * value does not parse as a date. Approximate month lengths are fine —
     * the sketch only needs a monotone numeric encoding (paper: "convert
-    * date columns into timestamps and treat them as numeric").
+    * date columns into timestamps and treat them as numeric"). Like
+    * `parseLong` and `parseDouble`, it reads the trimmed cell.
     */
-  def parseDate(s: String): Option[Double] = s match {
-    case null => None
+  def parseDate(s: String): Option[Double] = if (s == null) None else s.trim match {
     case IsoDate(y, m, d)   => dayNumber(y.toInt, m.toInt, d.toInt)
     case SlashDate(d, m, y) => dayNumber(if (y.length == 2) 2000 + y.toInt else y.toInt, m.toInt, d.toInt)
     case _ => None

@@ -8,10 +8,9 @@ package repro.lake
   * `IndexedSeq`, so `column(i)` reads one cell per row in O(1) where a
   * `List` row would be walked up to cell `i` on every read. Only the row
   * type changes: cells, `equals` and `hashCode` are those of the rows given.
-  * `copy` goes through `apply` too; only Spark's decoder keeps the rows it
-  * is handed. The cells are
-  * stored once, row-major: a column-major copy held as well measured +7%
-  * `finetune` heap on perfbench, so columns are read, not stored.
+  * `copy` goes through `apply` too. The cells are stored once, row-major:
+  * a column-major copy held as well measured +7% `finetune` heap on
+  * perfbench, so columns are read, not stored.
   *
   * @param id          lake-unique table id (file name in the paper's lakes)
   * @param description free-text table description (may be empty)

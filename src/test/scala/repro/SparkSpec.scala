@@ -67,8 +67,9 @@ object SparkSpec {
       .config("spark.sql.shuffle.partitions", 64)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output with the driver heap, master and parallelism:
+    // build.sbt passes SPARK_DRIVER_MEM to the test JVM as -Xmx, and
+    // ROADMAP's tier-1 command derives it from the machine's memory.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

@@ -3,10 +3,11 @@ package repro.core
 import repro.SparkSpec
 import repro.lake.LakeTable
 
-/** `sketchAll` maps `TableSketcher.sketch` over a Spark `Dataset` and
-  * `sketchCorpus` over a driver map on the `Parallel` pool: every field of
-  * every sketch either returns must equal the local sketch, the
-  * floating-point fields bit for bit.
+/** `sketchAll` and `sketchCorpus` both map `TableSketcher.sketch` over the
+  * tables on the `Parallel` pool; `sketchAll` then hands the sketches to
+  * Spark as a local `Dataset`. Every field of every sketch either returns
+  * must equal the local sketch, the floating-point fields bit for bit, and
+  * `sketchAll` must run no program function inside Spark.
   */
 class SketchAllSpec extends SparkSpec {
 
@@ -43,6 +44,16 @@ class SketchAllSpec extends SparkSpec {
     val dist = TableSketcher.sketchAll(spark, tables).collect()
     assert(dist.map(_.tableId).toSeq == tables.map(_.id))
     for ((s, t) <- dist.zip(tables)) assert(exact(s) == exact(TableSketcher.sketch(t)), t.id)
+  }
+
+  test("sketchAll starts no Spark job") {
+    assert(sparkJobsDuring(TableSketcher.sketchAll(spark, tables).collect()) == 0)
+  }
+
+  test("sketchAll's plan is a local relation of finished sketches, with no function mapped in Spark") {
+    val plan = TableSketcher.sketchAll(spark, tables).queryExecution.analyzed
+    // A function mapped in Spark would add MapElements over a DeserializeToObject.
+    assert(plan.collect { case p => p.nodeName } == Seq("LocalRelation"))
   }
 
   test("sketchCorpus returns exactly the local sketch of every table, keyed by id") {

@@ -18,6 +18,7 @@ class TypeInferenceSpec extends AnyFunSuite {
 
   test("ISO date columns are DateT") {
     assert(infer(Seq("2020-01-01", "1999-12-31")) == DateT)
+    assert(infer(Seq(" 2020-03-28", "2020-04-01 ")) == DateT, "padded, as padded integers are IntT")
   }
 
   test("slash date columns are DateT") {
@@ -52,6 +53,8 @@ class TypeInferenceSpec extends AnyFunSuite {
     assert(parseDate("2020-12-31").isDefined)
     assert(parseDate("hello").isEmpty)
     assert(parseDate(null).isEmpty)
+    assert(parseDate(" 2020-03-28") == parseDate("2020-03-28"), "trimmed, like parseLong and parseDouble")
+    assert(parseDate("28/03/23\t").isDefined && parseDate(" ").isEmpty)
   }
 
   test("parseDate is monotone in time") {
@@ -104,6 +107,7 @@ class TypeInferenceSpec extends AnyFunSuite {
   test("numericValue respects inferred type") {
     assert(numericValue("5", IntT).contains(5.0))
     assert(numericValue("2020-01-01", DateT).isDefined)
+    assert(numericValue(" 2020-01-01 ", DateT) == parseDate("2020-01-01"))
     assert(numericValue("5", StringT).isEmpty)
     assert(numericValue("abc", FloatT).isEmpty)
   }
