@@ -47,4 +47,22 @@ object Similarity {
     while (i < n) { s += a(i) * b(i); i += 1 }
     s
   }
+
+  /** L2 norm of `xs(from until until)`: the squares summed from 0.0 in
+    * index order.
+    */
+  def norm(xs: Array[Double], from: Int, until: Int): Double = {
+    var sq = 0.0
+    var i = from
+    while (i < until) { sq += xs(i) * xs(i); i += 1 }
+    math.sqrt(sq)
+  }
+
+  /** L2-normalizes `xs(from until until)` in place; a zero block stays as
+    * it is.
+    */
+  def normalize(xs: Array[Double], from: Int, until: Int): Unit = {
+    val n = norm(xs, from, until)
+    if (n != 0) { var i = from; while (i < until) { xs(i) = xs(i) / n; i += 1 } }
+  }
 }

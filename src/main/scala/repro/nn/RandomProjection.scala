@@ -2,6 +2,8 @@ package repro.nn
 
 import scala.util.hashing.MurmurHash3
 
+import repro.core.Similarity
+
 /** Frozen, seeded embedding of a token bag: hash tokens into a
   * ``buckets``-dim count vector, then project with a fixed Gaussian matrix
   * and L2-normalize.
@@ -52,7 +54,7 @@ final class RandomProjection(val dim: Int, val buckets: Int, seed: Long) extends
   /** ``out(d) = Σ_b proj(d, b) · counts(b)`` summed in ascending ``b``,
     * over the nonzero buckets only. A skipped term is ±0.0, and a sum that
     * starts at +0.0 is never −0.0, so skipping leaves every bit unchanged.
-    * The norm sums the squares from 0.0 in index order.
+    * The result is L2-normalized by `Similarity.normalize`.
     */
   private def project(counts: Array[Double]): Array[Double] = {
     val out = new Array[Double](dim)
@@ -66,11 +68,7 @@ final class RandomProjection(val dim: Int, val buckets: Int, seed: Long) extends
       }
       b += 1
     }
-    var sq = 0.0
-    var i = 0
-    while (i < dim) { sq += out(i) * out(i); i += 1 }
-    val norm = math.sqrt(sq)
-    if (norm > 0) { i = 0; while (i < dim) { out(i) /= norm; i += 1 } }
+    Similarity.normalize(out, 0, dim)
     out
   }
 }

@@ -57,7 +57,8 @@ object SearchReport {
     val (emb, buildMs) = timed(JoinSearch.embeddingsDf(spark, sketches, tables))
     val (ours, queryMs) = timed(JoinSearch.searchEmbeddings(spark, emb, queries, Ks.max))
     log.info(Text.format("join search: TabSketchFM index of %d columns built in %.1f ms; %d queries in %.1f ms, " +
-             "%.2f ms per query", emb.size, buildMs, queries.size, queryMs, queryMs / queries.size))
+             "%.2f ms per query", emb.valuesIterator.map(_.size).sum, buildMs, queries.size, queryMs,
+             queryMs / queries.size))
     val methods: Seq[(String, Map[String, Seq[String]])] = Seq(
       "TabSketchFM" -> ours,
       "LSHForest"   -> JoinSearch.searchLsh(sketches, queries, Ks.max),

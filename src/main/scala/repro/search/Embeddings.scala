@@ -1,6 +1,7 @@
 package repro.search
 
 import repro.core.{ColumnSketch, MinHash, Parallel, TableSketch, Tokenizer}
+import repro.core.Similarity.{norm, normalize}
 import repro.lake.LakeTable
 import repro.nn.RandomProjection
 
@@ -25,10 +26,11 @@ object Embeddings {
   def valueEmbedding(values: Seq[String]): Array[Double] =
     valueEmbedder.embed(values.iterator.take(100).flatMap(Tokenizer.tokenize))
 
-  /** `embed(t, i)` for every column `i` of every lake table `t`, one table per task on the `Parallel` pool. */
-  def lakeColumns(tables: Map[String, LakeTable])
-                 (embed: (LakeTable, Int) => Array[Double]): Map[String, Seq[Array[Double]]] =
-    Parallel.map(tables.toSeq) { case (id, t) => id -> t.columnNames.indices.map(embed(t, _)) }.toMap
+  /** `embed(t)` for every lake table `t`, keyed by its id in `tables`, one
+    * table per task on the `Parallel` pool.
+    */
+  def lake[A](tables: Map[String, LakeTable])(embed: LakeTable => A): Map[String, A] =
+    Parallel.map(tables.toSeq) { case (id, t) => id -> embed(t) }.toMap
 
   /** Writes the ±1 sign of each of the first `k` slots, times `weight` over
     * √k, at `out(at)`; an empty signature leaves the block zero. Returns
@@ -43,24 +45,6 @@ object Embeddings {
       }
     }
     at + k
-  }
-
-  /** L2 norm of `xs(from until until)`: the squares summed from 0.0 in
-    * index order.
-    */
-  private def norm(xs: Array[Double], from: Int, until: Int): Double = {
-    var sq = 0.0
-    var i = from
-    while (i < until) { sq += xs(i) * xs(i); i += 1 }
-    math.sqrt(sq)
-  }
-
-  /** L2-normalizes `xs(from until until)` in place; a zero block stays as
-    * it is.
-    */
-  private def normalize(xs: Array[Double], from: Int, until: Int): Unit = {
-    val n = norm(xs, from, until)
-    if (n != 0) { var i = from; while (i < until) { xs(i) = xs(i) / n; i += 1 } }
   }
 
   /** Writes `x` L2-normalized, then times `weight`, at `out(at)` (two

@@ -1,10 +1,8 @@
 package repro.search
 
-import scala.collection.mutable
-
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{MinHash, Parallel, Similarity, TableSketch}
+import repro.core.{MinHash, Similarity, TableSketch}
 import repro.lake.LakeTable
 import repro.lakebench.WikiLake
 
@@ -15,48 +13,42 @@ import repro.lakebench.WikiLake
   *
   * Methods:
   *  - TabSketchFM: exact nearest-neighbor search over contextual column
-  *    embeddings (sketches + value embedding), one driver-side scan of the
-  *    in-memory column-embedding index per query table.
+  *    embeddings (sketches + value embedding), kept per lake table in an
+  *    in-memory index and ranked by `Ranking.lake` per query table.
   *  - LSHForest-lite: MinHash band candidates ranked by estimated Jaccard.
   *  - JOSIE-lite: exact value-overlap ranking (set containment search).
   *  - EmbedJoin: value-embedding cosine only (WarpGate stand-in).
   */
 object JoinSearch {
 
-  case class ColumnEmb(tableId: String, colIdx: Int, emb: Array[Double])
-
-  /** The column-embedding index: one `ColumnEmb` per lake column, computed
-    * on the `Parallel` pool and held in driver memory. `spark` and `path`
-    * are unused; they go once perfbench's `search` workload stops passing them.
+  /** The column-embedding index: each lake table's column embeddings, in
+    * column order, computed on the `Parallel` pool and held in driver
+    * memory. `spark` and `path` are unused; they go once perfbench's
+    * `search` workload stops passing them.
     */
   def embeddingsDf(spark: SparkSession, sketches: Map[String, TableSketch],
-                   tables: Map[String, LakeTable], path: String = ""): Seq[ColumnEmb] =
-    Parallel.map(sketches.values.toSeq) { s =>
-      s.columns.zip(Embeddings.columns(s, tables(s.tableId)))
-        .map { case (c, e) => ColumnEmb(s.tableId, c.position, e) }
-    }.flatten
+                   tables: Map[String, LakeTable], path: String = ""): Map[String, Seq[Array[Double]]] =
+    Embeddings.lake(tables)(t => Embeddings.columns(sketches(t.id), t))
 
-  /** Top-k joinable tables per query (queries are (tableId, colIdx) of the
-    * entity columns), one scan of the index per query table. Each query
-    * table keeps every other table's best cosine over its query columns,
-    * ranked by `Ranking.top`; cosines of finite vectors are never NaN or
-    * −0.0, so the max is the same in any order and a plain `>` agrees with
-    * `Ranking`. `spark` is unused, like `embeddingsDf`'s.
+  /** Top-k joinable tables per query table (queries are (tableId, colIdx)
+    * of the entity columns), ranked by `Ranking.lake` on each other
+    * table's best cosine over the query table's columns. A query whose
+    * table or column is not in the index is dropped. `spark` is unused,
+    * like `embeddingsDf`'s.
     */
-  def searchEmbeddings(spark: SparkSession, cols: Seq[ColumnEmb],
-                       queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val wanted = queries.toSet
-    cols.filter(c => wanted((c.tableId, c.colIdx))).groupBy(_.tableId).map { case (qTable, qCols) =>
-      val best = mutable.HashMap.empty[String, Double]
-      cols.foreach { c =>
-        if (c.tableId != qTable) qCols.foreach { q =>
-          val s = Similarity.cosine(q.emb, c.emb)
-          if (best.get(c.tableId).forall(s > _)) best(c.tableId) = s
-        }
-      }
-      qTable -> Ranking.top(best, k)
+  def searchEmbeddings(spark: SparkSession, index: Map[String, Seq[Array[Double]]],
+                       queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] =
+    queries.groupBy(_._1).flatMap { case (qt, qs) =>
+      val qVecs = qs.flatMap { case (_, qc) => index.get(qt).flatMap(_.lift(qc)) }
+      Option.when(qVecs.nonEmpty)(qt -> Ranking.lake(index.keys, qt, k)(c => bestCosine(qVecs, index(c))))
     }
-  }
+
+  /** The largest cosine of any query vector with any candidate column;
+    * `None` for a table without columns. Cosines of finite vectors are
+    * sums from +0.0, never NaN or −0.0, so the max is the same in any order.
+    */
+  private def bestCosine(queryVecs: Seq[Array[Double]], candidateCols: Seq[Array[Double]]): Option[Double] =
+    queryVecs.iterator.flatMap(q => candidateCols.iterator.map(Similarity.cosine(q, _))).maxOption
 
   /** JOSIE-lite: rank candidate tables by exact max value overlap of any
     * column with the query column (overlap set similarity search): for each
@@ -108,10 +100,9 @@ object JoinSearch {
     * with no columns are never candidates.
     */
   def searchEmbedJoin(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val embs = Embeddings.lakeColumns(tables)((t, i) => Embeddings.valueEmbedding(t.values(i)))
+    val embs = Embeddings.lake(tables)(t => t.columnNames.indices.map(i => Embeddings.valueEmbedding(t.values(i))))
     queries.map { case (qt, qc) =>
-      val q = embs(qt)(qc)
-      qt -> Ranking.lake(tables.keys, qt, k)(c => embs(c).map(Similarity.cosine(q, _)).maxOption)
+      qt -> Ranking.lake(tables.keys, qt, k)(c => bestCosine(Seq(embs(qt)(qc)), embs(c)))
     }.toMap
   }
 

@@ -1,6 +1,6 @@
 package repro.search
 
-import repro.core.{ColumnSketch, MinHash, Parallel, Similarity, TableSketch, Tokenizer}
+import repro.core.{ColumnSketch, MinHash, Similarity, TableSketch, Tokenizer}
 import repro.core.Similarity.{bestMatch, relDiff}
 import repro.lake.LakeTable
 import repro.nn.Metrics
@@ -23,8 +23,7 @@ object UnionSearch {
 
   def searchEmbeddings(sketches: Map[String, TableSketch], tables: Map[String, LakeTable],
                        queries: Seq[String], k: Int): Map[String, Seq[String]] = {
-    val embs = Parallel.map(tables.keys.toSeq)(id =>
-      id -> Embeddings.table(sketches(id), tables(id))).toMap
+    val embs = Embeddings.lake(tables)(t => Embeddings.table(sketches(t.id), t))
     queries.map(q => q -> Ranking.lake(tables.keys, q, k)(c =>
       Option.when(tables(c).numCols > 0)(Similarity.cosine(embs(q), embs(c))))).toMap
   }
@@ -67,8 +66,8 @@ object UnionSearch {
     * embeddings; table score = mean matched cosine scaled by coverage.
     */
   def searchStarmie(tables: Map[String, LakeTable], queries: Seq[String], k: Int): Map[String, Seq[String]] = {
-    val embs = Embeddings.lakeColumns(tables)((t, i) => Embeddings.valueEmbedder.embed(
-      Tokenizer.tokenize(t.columnNames(i)).iterator ++ t.values(i).iterator.take(60).flatMap(Tokenizer.tokenize)))
+    val embs = Embeddings.lake(tables)(t => t.columnNames.indices.map(i => Embeddings.valueEmbedder.embed(
+      Tokenizer.tokenize(t.columnNames(i)).iterator ++ t.values(i).iterator.take(60).flatMap(Tokenizer.tokenize))))
     def tableScore(a: Seq[Array[Double]], b: Seq[Array[Double]]): Double = {
       val edges = (for { (ea, i) <- a.zipWithIndex; (eb, j) <- b.zipWithIndex }
         yield (i, j, Similarity.cosine(ea, eb))).sortBy(-_._3)

@@ -16,7 +16,10 @@ import org.scalatest.funsuite.AnyFunSuite
   * formats text or folds case with the JVM's default locale: those calls
   * go through `repro.lake.Text`, which uses `Locale.ROOT`. No main source
   * reads an environment variable or a system property, and `jobs/` reads
-  * only `SPARK_MASTER`, the deployment's Spark master.
+  * only `SPARK_MASTER`, the deployment's Spark master. Every search ranks
+  * through `Ranking.lake`: no main source but `Ranking.scala` uses
+  * `Ranking.top`, and in `search` only `Ranking.scala` and
+  * `Embeddings.scala` map on the `Parallel` pool.
   */
 class LayeringSpec extends AnyFunSuite {
 
@@ -82,13 +85,23 @@ class LayeringSpec extends AnyFunSuite {
         (m.group(1) == "env" || m.group(2) == "getenv") && m.group(3) != null && allowed(m.group(3))
       }.map(_.matched).toSeq.distinct
 
-  /** Fails naming each Scala source file under `dir` in which `hits` finds something. */
-  private def assertNone(dir: Path)(hits: String => Seq[String]): Unit = {
+  /** The uses of `name`, a dotted path such as `Ranking.top`, that `src`
+    * makes outside its comments, qualified or not.
+    */
+  private def usesOf(name: String)(src: String): Seq[String] =
+    name.split('.').map(java.util.regex.Pattern.quote).mkString("\\b", "\\s*\\.\\s*", "\\b").r
+      .findAllIn(withoutComments(src)).toSeq.distinct
+
+  /** Fails naming each Scala source file under `dir`, other than those
+    * named in `except`, in which `hits` finds something.
+    */
+  private def assertNone(dir: Path, except: Set[String] = Set.empty)(hits: String => Seq[String]): Unit = {
     assert(Files.isDirectory(dir), s"$dir not found from ${Paths.get("").toAbsolutePath}")
     val walk = Files.walk(dir)
     val files = try walk.iterator.asScala.filter(_.toString.endsWith(".scala")).toList finally walk.close()
+    assert(except.forall(n => files.exists(_.getFileName.toString == n)), s"not all of $except under $dir")
     assert(files.nonEmpty, s"no sources under $dir")
-    val offenders = files.flatMap { f =>
+    val offenders = files.filterNot(f => except(f.getFileName.toString)).flatMap { f =>
       val hit = hits(new String(Files.readAllBytes(f), "UTF-8"))
       if (hit.isEmpty) None else Some(s"$f: ${hit.mkString(", ")}")
     }
@@ -148,6 +161,20 @@ class LayeringSpec extends AnyFunSuite {
     assert(settingReads("System . getProperties").nonEmpty)
     assert(settingReads("/** Reads no sys.env. */\nval environment = mysys.envs // System.getenv(\"X\")").isEmpty)
   }
+
+  test("the ranking guard sees uses of a name, not comments") {
+    assert(usesOf("Ranking.top")("qt -> Ranking.top(best, k)") == Seq("Ranking.top"))
+    assert(usesOf("Ranking.top")("repro.search.Ranking . top(xs, 3)").nonEmpty)
+    assert(usesOf("Parallel.map")("val e = Parallel.map(ids.toSeq)(f)").nonEmpty)
+    assert(usesOf("Ranking.top")("Ranking.topK(xs) + MyRanking.top(xs) + Ranking.lake(ids, q, k)(f)").isEmpty)
+    assert(usesOf("Ranking.top")("/** Ranked by `Ranking.top`. */\nval n = 1 // Ranking.top(best, k)").isEmpty)
+  }
+
+  test("in src/main only Ranking.scala uses Ranking.top")(
+    assertNone(Paths.get("src", "main"), Set("Ranking.scala"))(usesOf("Ranking.top")))
+
+  test("in repro.search only Ranking.scala and Embeddings.scala use Parallel.map")(
+    assertNone(root.resolve("search"), Set("Ranking.scala", "Embeddings.scala"))(usesOf("Parallel.map")))
 
   test("src/main reads no environment variable or system property")(
     assertNone(Paths.get("src", "main"))(settingReads(_)))

@@ -2,8 +2,6 @@ package repro.search
 
 import java.lang.ref.WeakReference
 
-import scala.util.Random
-
 import org.scalacheck.{Gen, Prop}
 
 import repro.{PropCheck, SparkSpec}
@@ -55,19 +53,19 @@ class SearchSpec extends SparkSpec {
 
   /** Brute-force reference: every query vector against every lake column
     * on the driver, max per candidate table, ranked by score descending,
-    * then table id ascending.
+    * then table id ascending. A query whose table or column is not in the
+    * index is dropped; queries on one table share its ranking.
     */
-  private def bruteForce(cols: Seq[JoinSearch.ColumnEmb], queries: Seq[(String, Int)],
+  private def bruteForce(index: Map[String, Seq[Array[Double]]], queries: Seq[(String, Int)],
                          k: Int): Map[String, Seq[String]] = {
     def dot(a: Array[Double], b: Array[Double]): Double = {
       var s = 0.0
       for (i <- 0 until math.min(a.length, b.length)) s += a(i) * b(i)
       s
     }
-    val byKey = cols.map(c => (c.tableId, c.colIdx) -> c.emb).toMap
-    queries.filter(byKey.contains).groupBy(_._1).map { case (qt, qs) =>
-      val scored = cols.filter(_.tableId != qt).groupBy(_.tableId).toSeq.map { case (ct, cs) =>
-        ct -> (for (q <- qs; c <- cs) yield dot(byKey(q), c.emb)).max
+    queries.filter { case (t, c) => index.get(t).exists(_.indices.contains(c)) }.groupBy(_._1).map { case (qt, qs) =>
+      val scored = index.toSeq.filter { case (ct, cs) => ct != qt && cs.nonEmpty }.map { case (ct, cs) =>
+        ct -> (for ((_, qc) <- qs; c <- cs) yield dot(index(qt)(qc), c)).max
       }
       qt -> scored.sortBy { case (id, s) => (-s, id) }.take(k).map(_._1)
     }
@@ -77,18 +75,35 @@ class SearchSpec extends SparkSpec {
     val base = JoinSearch.embeddingsDf(spark, sketches, tables)
     val twin = lake.tables(9).table.id
     // An exact copy of one table under a new id: every query ties on the pair.
-    val cols = new Random(7).shuffle(base ++ base.filter(_.tableId == twin).map(_.copy(tableId = s"$twin-copy")))
-    val lakeSize = cols.map(_.tableId).distinct.size
+    val index = base + (s"$twin-copy" -> base(twin))
+    val lakeSize = index.size
     val qs = queries.take(4) ++ Seq(("no-such-table", 0), (queries.head._1, 1))
     val all = Seq(1, 5, lakeSize + 3).map { k =>
-      val got = JoinSearch.searchEmbeddings(spark, cols, qs, k)
-      assert(got == bruteForce(cols, qs, k), s"k=$k")
+      val got = JoinSearch.searchEmbeddings(spark, index, qs, k)
+      assert(got == bruteForce(index, qs, k), s"k=$k")
       assert(!got.contains("no-such-table"))
       got
     }.last
     assert(all(queries.head._1).size == lakeSize - 1)
     val ranked = all(queries(1)._1)
     assert(ranked.indexOf(s"$twin-copy") == ranked.indexOf(twin) + 1, "tie broken by table id")
+
+    // EmbedJoin over the same lake and twin, one query per table, against
+    // the same scan of its value-embedding index.
+    val lake2 = tables + (s"$twin-copy" -> tables(twin).copy(id = s"$twin-copy"))
+    val valueIndex = lake2.map { case (id, t) =>
+      id -> t.columnNames.indices.map(i => Embeddings.valueEmbedding(t.values(i)))
+    }
+    val oneEach = queries.take(4)
+    for (k <- Seq(1, 5, lake2.size + 3)) {
+      val got = JoinSearch.searchEmbedJoin(lake2, oneEach, k)
+      assert(got == bruteForce(valueIndex, oneEach, k), s"EmbedJoin k=$k")
+      if (k > lake2.size) {
+        val r = got(queries(1)._1)
+        assert(r.size == lake2.size - 1 && r.indexOf(s"$twin-copy") == r.indexOf(twin) + 1,
+          "EmbedJoin tie broken by table id")
+      }
+    }
   }
 
   test("embedding search beats value-overlap baselines on sensible-join GT") {
@@ -232,7 +247,7 @@ class SearchSpec extends SparkSpec {
 
   test("building the join index and answering a join query start no Spark job") {
     withTempDir("emb-jobs") { dir =>
-      var emb = Seq.empty[JoinSearch.ColumnEmb]
+      var emb = Map.empty[String, Seq[Array[Double]]]
       assert(sparkJobsDuring { emb = JoinSearch.embeddingsDf(spark, sketches, tables, dir) } == 0)
       assert(sparkJobsDuring(JoinSearch.searchEmbeddings(spark, emb, queries.take(1), 5)) == 0)
       assert(new java.io.File(dir).list().isEmpty, "the index wrote to its path")
@@ -252,7 +267,7 @@ class SearchSpec extends SparkSpec {
   private def searchOnce(): WeakReference[AnyRef] = {
     val emb = JoinSearch.embeddingsDf(spark, sketches, tables)
     JoinSearch.searchEmbeddings(spark, emb, queries.take(2), 5)
-    assert(emb.size == tables.values.map(_.numCols).sum, "one index row per lake column")
+    assert(emb.valuesIterator.map(_.size).sum == tables.values.map(_.numCols).sum, "one index row per lake column")
     new WeakReference(emb)
   }
 
